@@ -39,7 +39,7 @@ from .params import (
     lambda_report,
     predicted_bounds,
 )
-from .upper import procedure_A, procedure_B, repair
+from .upper import run
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -121,12 +121,8 @@ def cmd_color(args) -> int:
     p = args.p if args.p is not None else args.assume_p
     if p is None:
         raise SystemExit("--p (or --assume-p with --graph) is required")
-    if args.variant == "A":
-        coloring, report = procedure_A(g, p)
-    else:
-        coloring, report = procedure_B(g, p, args.epsilon)
-    fixed = repair(g, coloring, budget=args.repair_budget)
-    doc = report.to_dict()
+    report, fixed = run(g, p, args.variant, args.epsilon, args.repair_budget)
+    doc = asdict(report)
     doc["repair"] = fixed.to_dict()
     doc["palette_final"] = fixed.coloring.palette_size
     doc["valid"] = not fixed.exhausted
@@ -201,8 +197,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     with open(args.records) as fh:
-        raw = read_records(fh)
-    records = [_record_from_row(row) for row in raw]
+        records = [ExperimentRecord.from_csv_row(row) for row in read_records(fh)]
     rows = compare_with_theory(records)
     table = render_compare_table(rows)
     if args.out:
@@ -211,33 +206,6 @@ def cmd_compare(args) -> int:
     else:
         sys.stdout.write(table)
     return EXIT_OK
-
-
-def _record_from_row(row: dict[str, str]) -> ExperimentRecord:
-    def opt_int(key):
-        return int(row[key]) if row[key] else None
-
-    return ExperimentRecord(
-        n=int(row["n"]),
-        p=float(row["p"]),
-        seed=int(row["seed"]),
-        procedure=row["procedure"],
-        palette=opt_int("palette"),
-        valid={"true": True, "false": False}.get(row["valid"]),
-        repairs=opt_int("repairs"),
-        leftover=opt_int("leftover"),
-        s=opt_int("s"),
-        z=opt_int("z"),
-        delta=float(row["delta"]) if row["delta"] else None,
-        certificate_found={"true": True, "false": False}.get(row["certificate_found"]),
-        error=row["error"],
-        predictions={
-            key.removeprefix("pred_"): float(row[key])
-            for key in row
-            if key.startswith("pred_")
-        },
-        wall_time=0.0,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -191,13 +191,6 @@ def common_non_neighbors(g: Graph, s: Iterable[int]) -> set[int]:
     return set(iter_bits(bits))
 
 
-def common_non_neighbors_bits(g: Graph, sbits: int) -> int:
-    bits = g.all_bits & ~sbits
-    for u in iter_bits(sbits):
-        bits &= ~g.adj[u]
-    return bits
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     max_degree: int

@@ -12,8 +12,10 @@ therefore live only in the JSON report, never in the CSV.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,10 +25,11 @@ from .coloring import Coloring, is_valid_clique_coloring
 from .graph import sample_gnp
 from .lowerbound import certify
 from .params import build_schedule, predicted_bounds
-from .upper import procedure_A, procedure_B, repair
+from . import upper
 
 __all__ = [
     "SCHEMA_VERSION",
+    "REPAIR_EXHAUSTED",
     "RECORD_COLUMNS",
     "ExperimentRecord",
     "SweepConfig",
@@ -41,6 +44,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# The error column of a trial whose repair loop ran out of budget; the only
+# error text that makes a sweep report budget exhaustion.
+REPAIR_EXHAUSTED = "budget exhausted in repair"
 
 PREDICTION_LABELS = (
     "order_log_over_p",
@@ -107,6 +114,34 @@ class ExperimentRecord:
         cells.extend(repr(self.predictions[label]) for label in PREDICTION_LABELS)
         return cells
 
+    @classmethod
+    def from_csv_row(cls, row: dict[str, str]) -> "ExperimentRecord":
+        """Inverse of `csv_row` for a `read_records` row; wall_time reads 0."""
+
+        def opt_int(key):
+            return int(row[key]) if row[key] else None
+
+        def opt_bool(key):
+            return {"true": True, "false": False}.get(row[key])
+
+        return cls(
+            n=int(row["n"]),
+            p=float(row["p"]),
+            seed=int(row["seed"]),
+            procedure=row["procedure"],
+            palette=opt_int("palette"),
+            valid=opt_bool("valid"),
+            repairs=opt_int("repairs"),
+            leftover=opt_int("leftover"),
+            s=opt_int("s"),
+            z=opt_int("z"),
+            delta=float(row["delta"]) if row["delta"] else None,
+            certificate_found=opt_bool("certificate_found"),
+            error=row["error"],
+            predictions={label: float(row[f"pred_{label}"]) for label in PREDICTION_LABELS},
+            wall_time=0.0,
+        )
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -142,6 +177,8 @@ class SweepConfig:
             raise ValueError("exactly one of the p grid and the rho grid must be given")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         bad = set(self.procedures) - {"A", "B", "certify"}
         if bad:
             raise ValueError(f"unknown procedures: {sorted(bad)}")
@@ -157,41 +194,35 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, fh: TextIO) -> "SweepConfig":
+        """Read a config document: "version" plus the grids under the keys
+        n, p and rho, and any other field under its own name."""
         doc = json.load(fh)
-        if doc.get("version") != SCHEMA_VERSION:
-            raise ValueError(f"config version must be {SCHEMA_VERSION}")
-        known = {
-            "version",
-            "n",
-            "p",
-            "rho",
-            "trials",
-            "master_seed",
-            "procedures",
-            "epsilon",
-            "repair_budget",
-            "relax",
-            "certify_classes",
-            "certify_budget",
-            "workers",
+        if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
+            raise ValueError(f"config must be a JSON object with version {SCHEMA_VERSION}")
+        grids = {"n": ("n_grid", int), "p": ("p_grid", float), "rho": ("rho_grid", float)}
+        scalars = {
+            f.name: f.default
+            for f in dataclasses.fields(cls)
+            if f.name not in {name for name, _ in grids.values()}
         }
-        unknown = set(doc) - known
+        unknown = set(doc) - {"version"} - set(grids) - set(scalars)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            n_grid=tuple(int(v) for v in doc["n"]),
-            p_grid=tuple(float(v) for v in doc.get("p", ())),
-            rho_grid=tuple(float(v) for v in doc.get("rho", ())),
-            trials=int(doc.get("trials", 1)),
-            master_seed=int(doc.get("master_seed", 0)),
-            procedures=tuple(doc.get("procedures", ("A",))),
-            epsilon=doc.get("epsilon"),
-            repair_budget=int(doc.get("repair_budget", 1000)),
-            relax=doc.get("relax"),
-            certify_classes=int(doc.get("certify_classes", 2)),
-            certify_budget=int(doc.get("certify_budget", 10_000)),
-            workers=int(doc.get("workers", 1)),
-        )
+        if "n" not in doc:
+            raise ValueError("config needs an n grid")
+        try:
+            kwargs = {
+                name: tuple(convert(v) for v in doc[key])
+                for key, (name, convert) in grids.items()
+                if key in doc
+            }
+            for name, default in scalars.items():
+                if name in doc:
+                    # Fields defaulting to None (epsilon, relax) take the value as is.
+                    kwargs[name] = doc[name] if default is None else type(default)(doc[name])
+        except TypeError as exc:
+            raise ValueError(f"malformed config value: {exc}") from exc
+        return cls(**kwargs)
 
 
 _MASK64 = (1 << 64) - 1
@@ -239,25 +270,20 @@ def _run_trial(task: _Task) -> ExperimentRecord:
     try:
         g = sample_gnp(task.n, task.p, task.seed)
         if task.procedure in ("A", "B"):
-            if task.procedure == "A":
-                coloring, rep = procedure_A(g, task.p)
-            else:
-                coloring, rep = procedure_B(g, task.p, task.epsilon)
-            fixed = repair(g, coloring, budget=task.repair_budget)
+            rep, fixed = upper.run(g, task.p, task.procedure, task.epsilon, task.repair_budget)
             # repair terminates only on a coloring with no monochromatic
             # maximal clique, so validity reduces to non-exhaustion.
-            valid = not fixed.exhausted
             return ExperimentRecord(
                 **base,
                 palette=fixed.coloring.palette_size,
-                valid=valid,
+                valid=not fixed.exhausted,
                 repairs=len(fixed.recolored),
                 leftover=rep.leftover,
                 s=rep.s,
                 z=rep.z,
                 delta=rep.delta,
                 certificate_found=None,
-                error="budget exhausted in repair" if fixed.exhausted else "",
+                error=REPAIR_EXHAUSTED if fixed.exhausted else "",
                 wall_time=time.perf_counter() - start,
             )
         # certify trial: a deliberately coarse round-robin coloring.
@@ -298,6 +324,14 @@ def _run_trial(task: _Task) -> ExperimentRecord:
         )
 
 
+def _pool_size(requested: int, tasks: int) -> int:
+    """Worker processes for a sweep: the requested count, capped by the CPUs
+    and by the number of tasks."""
+    if requested < 1:
+        raise ValueError("workers must be >= 1")
+    return min(requested, os.cpu_count() or 1, tasks)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[ExperimentRecord, ...]
@@ -327,7 +361,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
                     certify_budget=cfg.certify_budget,
                 )
             )
-    nworkers = workers if workers is not None else cfg.workers
+    nworkers = _pool_size(cfg.workers if workers is None else workers, len(tasks))
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             results = list(pool.map(_run_trial, tasks, chunksize=1))
@@ -337,7 +371,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     # sort keeps the merge order explicit and future-proof.
     paired = sorted(zip(tasks, results), key=lambda tr: (tr[0].cell_index, tr[0].trial_index))
     records = tuple(rec for _, rec in paired)
-    exhausted = any("budget exhausted" in rec.error for rec in records)
+    exhausted = any(rec.error == REPAIR_EXHAUSTED for rec in records)
     return SweepResult(records=records, budget_exhausted=exhausted, elapsed=time.perf_counter() - start)
 
 

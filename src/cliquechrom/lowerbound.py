@@ -27,7 +27,7 @@ import numpy as np
 from .cliques import extend_to_maximal, find_clique_dominating_outside, is_maximal_clique
 from .coloring import Coloring
 from .graph import Graph, bits_of, iter_bits
-from .params import ParamSchedule, lambda_report
+from .params import ParamSchedule, _phi_arr, lambda_report
 
 __all__ = [
     "ell1",
@@ -493,7 +493,7 @@ def check_density_events(
         i = np.arange(1, i_max + 1, dtype=np.int64)
         r = np.exp(sch.zeta * i.astype(np.float64))
         counts = count_at_least(r * sch.p * u_size)
-        x_i = math.log(sch.n) / (_phi_f64(r - 1.0) * sch.p)
+        x_i = math.log(sch.n) / (_phi_arr(np.expm1(sch.zeta * i)) * sch.p)
         level_violations = [int(ii) for ii in i[counts > x_i]]
 
     alpha_ok = alpha_count = None
@@ -520,10 +520,6 @@ def check_density_events(
         harmonic_ok=harmonic_ok,
         harmonic_violations=harmonic_violations,
     )
-
-
-def _phi_f64(x: np.ndarray) -> np.ndarray:
-    return (1.0 + x) * np.log1p(x) - x
 
 
 # -- End-to-end certification -----------------------------------------------------------

@@ -16,6 +16,13 @@ leftover set N, which the two variants color differently:
 The guarantees behind these choices are asymptotic; at finite n a
 monochromatic maximal clique can survive, so `repair` recolors its smallest
 vertex with a fresh color until the coloring is valid or a budget runs out.
+
+`run` is the whole color -> validate -> repair pipeline, shared by
+`cliquechrom color` and the sweep harness. Its report's `mono_pre_repair`
+is counted by repair's first Bron-Kerbosch pass over each color class, so
+each coloring is enumerated once. `procedure_A` and `procedure_B` return
+the unrepaired coloring and count `mono_pre_repair` with their own
+validity pass.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "procedure_B",
     "RepairResult",
     "repair",
+    "run",
     "variant_a_palette_cap",
 ]
 
@@ -87,24 +95,6 @@ class ProcedureReport:
     mono_pre_repair: int
     cap_overflow: bool  # variant B only: inner coloring needed > z colors
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "p": self.p,
-            "delta": self.delta,
-            "delta_raw": self.delta_raw,
-            "delta_clamped": self.delta_clamped,
-            "s": self.s,
-            "z": self.z,
-            "leftover": self.leftover,
-            "leftover_window_ok": self.leftover_window_ok,
-            "palette": self.palette,
-            "palette_cap": self.palette_cap,
-            "mono_pre_repair": self.mono_pre_repair,
-            "cap_overflow": self.cap_overflow,
-        }
-
 
 def _variant_a_delta(n: int, p: float) -> tuple[float, float, bool]:
     """delta = 1/2 - rho/2 + rho^2/(1-lambda) + lambda with
@@ -132,48 +122,6 @@ def _leftover_window_ok(n: int, delta: float, leftover: int) -> bool:
     return 0.5 * target <= leftover <= 2.0 * target
 
 
-def _count_mono(g: Graph, c: Coloring) -> int:
-    return len(monochromatic_maximal_cliques(g, c))
-
-
-def procedure_A(g: Graph, p: float) -> tuple[Coloring, ProcedureReport]:
-    """Greedy phase plus a z = ceil(4/p) way split of the leftover.
-
-    Fully deterministic; the palette never exceeds s + z + 1 regardless of
-    the graph. The report carries the pre-repair monochromatic-clique count,
-    so validity failures are visible, not silent.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    delta, raw, clamped = _variant_a_delta(g.n, p)
-    s = min(max(class_count(g.n, p, delta), 0), g.n)
-    z = math.ceil(4.0 / p)
-    phase = greedy_phase(g, s)
-    assignment = list(phase.assignment)
-    blocks = _split_blocks(phase.leftover, z)
-    for i, block in enumerate(blocks, start=1):
-        for v in block:
-            assignment[v - 1] = s + 1 + i
-    coloring = Coloring(tuple(assignment))
-    report = ProcedureReport(
-        variant="A",
-        n=g.n,
-        p=p,
-        delta=delta,
-        delta_raw=raw,
-        delta_clamped=clamped,
-        s=s,
-        z=z,
-        leftover=len(phase.leftover),
-        leftover_window_ok=_leftover_window_ok(g.n, delta, len(phase.leftover)),
-        palette=coloring.palette_size,
-        palette_cap=s + z + 1,
-        mono_pre_repair=_count_mono(g, coloring),
-        cap_overflow=False,
-    )
-    return coloring, report
-
-
 def _split_blocks(items: tuple[int, ...], z: int) -> list[list[int]]:
     """Split into z contiguous blocks in the given order, sizes as equal as
     possible (never exceeding 2 len/z for len >= z)."""
@@ -188,48 +136,50 @@ def _split_blocks(items: tuple[int, ...], z: int) -> list[list[int]]:
     return blocks
 
 
-def procedure_B(
-    g: Graph, p: float, epsilon: Optional[float] = None
-) -> tuple[Coloring, ProcedureReport]:
-    """Variant for p = n^(-2/5 + epsilon): greedy phase with delta = 5 eps/2,
-    then the induced leftover graph is colored by variant A with its palette
-    folded round-robin into z = ceil(8/(p sqrt(log n))) fresh colors.
-
-    Omitting epsilon derives it from p; it must come out positive. Folding a
-    too-large inner palette (cap_overflow in the report) can merge classes,
-    which the repair loop cleans up afterwards.
-    """
+def _color(
+    g: Graph, p: float, variant: str, epsilon: Optional[float] = None
+) -> tuple[Coloring, dict]:
+    """The variant's two-phase coloring plus every ProcedureReport field
+    except mono_pre_repair; raises ValueError for inputs it cannot color."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    ln_n = math.log(g.n)
-    rho = math.log(1.0 / p) / ln_n
-    if epsilon is None:
-        epsilon = 0.4 - rho
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive (p must exceed n^(-2/5))")
-    raw = 2.5 * epsilon
-    clamped = not (0.0 < raw < 1.0)
-    delta = min(max(raw, 0.01), 0.99) if clamped else raw
+    if variant == "A":
+        if g.n < 1:
+            raise ValueError("variant A needs a graph with at least 1 vertex")
+        delta, raw, clamped = _variant_a_delta(g.n, p)
+        z = math.ceil(4.0 / p)
+    elif variant == "B":
+        if g.n < 2:
+            raise ValueError("variant B needs a graph with at least 2 vertices (log n > 0)")
+        ln_n = math.log(g.n)
+        if epsilon is None:
+            epsilon = 0.4 - math.log(1.0 / p) / ln_n
+        if epsilon <= 0.0:
+            raise ValueError("epsilon must be positive (p must exceed n^(-2/5))")
+        raw = 2.5 * epsilon
+        clamped = not (0.0 < raw < 1.0)
+        delta = min(max(raw, 0.01), 0.99) if clamped else raw
+        z = math.ceil(8.0 / (p * math.sqrt(ln_n)))
+    else:
+        raise ValueError(f"unknown variant {variant!r} (expected 'A' or 'B')")
     s = min(max(class_count(g.n, p, delta), 0), g.n)
-    z = math.ceil(8.0 / (p * math.sqrt(ln_n)))
 
     phase = greedy_phase(g, s)
     assignment = list(phase.assignment)
     cap_overflow = False
-    if phase.leftover:
+    if variant == "A":
+        for i, block in enumerate(_split_blocks(phase.leftover, z), start=1):
+            for v in block:
+                assignment[v - 1] = s + 1 + i
+    elif phase.leftover:
         sub, order = g.induced(phase.leftover)
-        if sub.n >= 3:
-            inner, _ = procedure_A(sub, p)
-            inner_colors = inner.colors
-        else:
-            inner_colors = tuple(range(1, sub.n + 1))
-        palette_needed = len(set(inner_colors))
-        cap_overflow = palette_needed > z
-        for idx, inner_color in enumerate(inner_colors):
-            assignment[order[idx] - 1] = s + 1 + ((inner_color - 1) % z) + 1
+        inner = _color(sub, p, "A")[0].colors if sub.n >= 3 else range(1, sub.n + 1)
+        cap_overflow = len(set(inner)) > z
+        for v, inner_color in zip(order, inner):
+            assignment[v - 1] = s + 1 + ((inner_color - 1) % z) + 1
     coloring = Coloring(tuple(assignment))
-    report = ProcedureReport(
-        variant="B",
+    fields = dict(
+        variant=variant,
         n=g.n,
         p=p,
         delta=delta,
@@ -241,10 +191,38 @@ def procedure_B(
         leftover_window_ok=_leftover_window_ok(g.n, delta, len(phase.leftover)),
         palette=coloring.palette_size,
         palette_cap=s + z + 1,
-        mono_pre_repair=_count_mono(g, coloring),
         cap_overflow=cap_overflow,
     )
-    return coloring, report
+    return coloring, fields
+
+
+def _counted(g: Graph, coloring: Coloring, fields: dict) -> tuple[Coloring, ProcedureReport]:
+    mono = len(monochromatic_maximal_cliques(g, coloring))
+    return coloring, ProcedureReport(**fields, mono_pre_repair=mono)
+
+
+def procedure_A(g: Graph, p: float) -> tuple[Coloring, ProcedureReport]:
+    """Greedy phase plus a z = ceil(4/p) way split of the leftover.
+
+    Fully deterministic; the palette never exceeds s + z + 1 regardless of
+    the graph. The report carries the pre-repair monochromatic-clique count,
+    so validity failures are visible, not silent.
+    """
+    return _counted(g, *_color(g, p, "A"))
+
+
+def procedure_B(
+    g: Graph, p: float, epsilon: Optional[float] = None
+) -> tuple[Coloring, ProcedureReport]:
+    """Variant for p = n^(-2/5 + epsilon): greedy phase with delta = 5 eps/2,
+    then the induced leftover graph is colored by variant A with its palette
+    folded round-robin into z = ceil(8/(p sqrt(log n))) fresh colors.
+
+    Omitting epsilon derives it from p; it must come out positive. Folding a
+    too-large inner palette (cap_overflow in the report) can merge classes,
+    which the repair loop cleans up afterwards.
+    """
+    return _counted(g, *_color(g, p, "B", epsilon))
 
 
 @dataclass(frozen=True)
@@ -253,7 +231,7 @@ class RepairResult:
     extra_colors: int
     recolored: tuple[int, ...]
     exhausted: bool
-    remaining_mono: int  # first monochromatic cliques still present on exhaustion
+    remaining_mono: int  # cliques still monochromatic on exhaustion, at most 100
 
     def to_dict(self) -> dict:
         return {
@@ -262,6 +240,52 @@ class RepairResult:
             "exhausted": self.exhausted,
             "remaining_mono": self.remaining_mono,
         }
+
+
+def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
+    """`repair`, plus the number of monochromatic maximal cliques in `c`.
+
+    Each class's first Bron-Kerbosch pass runs to completion and supplies
+    the count. After a recolor the class is enumerated afresh up to its
+    first offending clique; once the budget is spent, that pass and every
+    later class are counted in full for remaining_mono.
+    """
+    if c.n != g.n:
+        raise ValueError("coloring does not cover the graph")
+    assignment = list(c.colors)
+    fresh = max(assignment, default=0)
+    recolored: list[int] = []
+    found = remaining = 0
+    exhausted = False
+    for _, members in sorted(c.class_bits().items()):
+        first_pass = True
+        while True:
+            cliques = (kb for kb in maximal_cliques_within(g, members) if kb.bit_count() >= 2)
+            kb = next(cliques, None)
+            if kb is None:
+                break
+            exhausted = len(recolored) >= budget
+            if first_pass or exhausted:
+                count = 1 + sum(1 for _ in cliques)
+                found += count if first_pass else 0
+                remaining += count if exhausted else 0
+            if exhausted:
+                break
+            first_pass = False
+            victim = (kb & -kb).bit_length() - 1
+            fresh += 1
+            assignment[victim - 1] = fresh
+            members &= ~(1 << victim)
+            recolored.append(victim)
+
+    result = RepairResult(
+        coloring=Coloring(tuple(assignment)),
+        extra_colors=len(set(assignment)) - len(set(c.colors)),
+        recolored=tuple(recolored),
+        exhausted=exhausted,
+        remaining_mono=min(remaining, 100),
+    )
+    return result, found
 
 
 def repair(g: Graph, c: Coloring, budget: int = 1000) -> RepairResult:
@@ -273,45 +297,22 @@ def repair(g: Graph, c: Coloring, budget: int = 1000) -> RepairResult:
     monochromatic maximal cliques strictly decreases; the loop ends with a
     valid coloring or an explicit exhaustion report after `budget` recolors.
     """
-    if c.n != g.n:
-        raise ValueError("coloring does not cover the graph")
-    assignment = list(c.colors)
-    fresh = max(assignment, default=0)
-    recolored: list[int] = []
-    class_bits = Coloring(tuple(assignment)).class_bits()
-    pending = sorted(class_bits)
-    exhausted = False
-    while pending and not exhausted:
-        color = pending.pop(0)
-        members = class_bits.get(color, 0)
-        while True:
-            kb = next(
-                (
-                    kb
-                    for kb in maximal_cliques_within(g, members)
-                    if kb.bit_count() >= 2
-                ),
-                None,
-            )
-            if kb is None:
-                break
-            if len(recolored) >= budget:
-                exhausted = True
-                break
-            victim = (kb & -kb).bit_length() - 1
-            fresh += 1
-            assignment[victim - 1] = fresh
-            members &= ~(1 << victim)
-            recolored.append(victim)
+    return _repair(g, c, budget)[0]
 
-    result = Coloring(tuple(assignment))
-    remaining = (
-        len(monochromatic_maximal_cliques(g, result, limit=100)) if exhausted else 0
-    )
-    return RepairResult(
-        coloring=result,
-        extra_colors=len(set(assignment)) - len(set(c.colors)),
-        recolored=tuple(recolored),
-        exhausted=exhausted,
-        remaining_mono=remaining,
-    )
+
+def run(
+    g: Graph,
+    p: float,
+    variant: str,
+    epsilon: Optional[float] = None,
+    repair_budget: int = 1000,
+) -> tuple[ProcedureReport, RepairResult]:
+    """Color g with variant "A" or "B", then repair the coloring.
+
+    The report describes the unrepaired coloring, as `procedure_A` and
+    `procedure_B` would; its mono_pre_repair is counted inside the repair
+    pass rather than by a separate validity pass.
+    """
+    coloring, fields = _color(g, p, variant, epsilon)
+    fixed, mono = _repair(g, coloring, repair_budget)
+    return ProcedureReport(**fields, mono_pre_repair=mono), fixed

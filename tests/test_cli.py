@@ -57,6 +57,16 @@ class TestColor:
         assert doc["palette_final"] <= doc["s"] + doc["z"] + 1 or variant == "B"
         assert len(out.read_text().splitlines()) == 150
 
+    # one vertex is enough for variant A; variant B needs log n > 0
+    @pytest.mark.parametrize("n, variant, code", [(0, "A", 1), (0, "B", 1), (1, "A", 0), (1, "B", 1)])
+    def test_tiny_graphs_exit_cleanly(self, tmp_path, capsys, n, variant, code):
+        graph = tmp_path / "tiny.edges"
+        graph.write_text(f"{n} 0\n")
+        assert run(["color", "--graph", graph, "--assume-p", 0.5, "--variant", variant]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") if code else err == ""
+
     def test_colored_output_validates(self, tmp_path):
         graph = tmp_path / "g.edges"
         run(["gen", "--n", 120, "--p", 0.3, "--seed", 9, "--out", graph])

@@ -1,12 +1,16 @@
 """Sweep harness: determinism, CSV schema, comparison tables."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+from cliquechrom import harness, upper
+from cliquechrom.coloring import BudgetExceeded
 from cliquechrom.harness import (
     RECORD_COLUMNS,
+    REPAIR_EXHAUSTED,
     ExperimentRecord,
     SweepConfig,
     compare_with_theory,
@@ -120,11 +124,72 @@ class TestSweep:
             assert fixed.coloring.palette_size == rec.palette
 
 
+class TestSweepControl:
+    def test_rejects_workers_below_one(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                tiny_config(workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(tiny_config(), workers=0)
+
+    def test_pool_size_is_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert harness._pool_size(64, 100) == 4
+        assert harness._pool_size(64, 3) == 3
+        assert harness._pool_size(2, 100) == 2
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._pool_size(8, 100) == 1
+
+    def test_repair_exhaustion_flags_the_sweep(self):
+        # n=40, p=0.3, master seed 1: the variant B trial needs one recolor
+        cfg = tiny_config(n_grid=(40,), procedures=("B",), master_seed=1, repair_budget=0)
+        result = run_sweep(cfg)
+        assert result.records[0].error == REPAIR_EXHAUSTED
+        assert result.budget_exhausted
+
+    def test_search_budget_error_is_not_repair_exhaustion(self, monkeypatch):
+        def exceeded(*args, **kwargs):
+            raise BudgetExceeded(7)
+
+        monkeypatch.setattr(upper, "run", exceeded)
+        result = run_sweep(tiny_config())
+        assert result.records[0].error == "BudgetExceeded: search budget exhausted after 7 nodes"
+        assert not result.budget_exhausted
+
+
 class TestConfigFile:
     def test_roundtrip(self):
         doc = {"version": 1, "n": [100], "p": [0.2], "trials": 2, "master_seed": 5}
         cfg = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
         assert cfg.n_grid == (100,) and cfg.trials == 2
+
+    def test_every_field_is_read_under_its_own_name(self):
+        doc = {
+            "version": 1, "n": [50, 80], "rho": [0.25], "trials": 3, "master_seed": 9,
+            "procedures": ["A", "certify"], "epsilon": 0.05, "repair_budget": 7,
+            "relax": 0.3, "certify_classes": 3, "certify_budget": 55, "workers": 2,
+        }
+        cfg = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+        assert cfg == SweepConfig(
+            n_grid=(50, 80), rho_grid=(0.25,), trials=3, master_seed=9,
+            procedures=("A", "certify"), epsilon=0.05, repair_budget=7, relax=0.3,
+            certify_classes=3, certify_budget=55, workers=2,
+        )
+
+    def test_defaults_come_from_the_dataclass(self):
+        cfg = SweepConfig.from_json(io.StringIO(json.dumps({"version": 1, "n": [10], "p": [0.5]})))
+        assert cfg == SweepConfig(n_grid=(10,), p_grid=(0.5,))
+
+    @pytest.mark.parametrize("doc", [
+        {"version": 1, "p": [0.2]},
+        {"version": 1, "n_grid": [10], "p": [0.2]},
+        {"version": 1, "n": 100, "p": [0.2]},
+        {"version": 1, "n": [100], "p": [0.2], "trials": None},
+        [1, 2],
+    ])
+    def test_rejects_malformed_documents(self, doc):
+        with pytest.raises(ValueError):
+            SweepConfig.from_json(io.StringIO(json.dumps(doc)))
 
     def test_rejects_unknown_keys(self):
         doc = {"version": 1, "n": [100], "p": [0.2], "bogus": 1}
@@ -153,6 +218,19 @@ class TestRecordsCSV:
         buf.seek(0)
         rows = read_records(buf)
         assert len(rows) == 1 and rows[0]["n"] == "30"
+
+    def test_records_survive_write_read_parse(self):
+        cfg = tiny_config(
+            n_grid=(40, 60), p_grid=(0.3, 0.5), trials=2, procedures=("A", "B", "certify"),
+            relax=0.25,
+        )
+        records = run_sweep(cfg).records
+        assert {rec.procedure for rec in records} == {"A", "B", "certify"}
+        buf = io.StringIO()
+        write_records(records, buf)
+        buf.seek(0)
+        parsed = [ExperimentRecord.from_csv_row(row) for row in read_records(buf)]
+        assert parsed == [dataclasses.replace(rec, wall_time=0.0) for rec in records]
 
     def test_unknown_columns_rejected(self):
         buf = io.StringIO()

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cliquechrom import upper
 from cliquechrom.coloring import Coloring, is_valid_clique_coloring, monochromatic_maximal_cliques
 from cliquechrom.graph import Graph, sample_gnp
 from cliquechrom.upper import (
@@ -12,8 +14,11 @@ from cliquechrom.upper import (
     procedure_A,
     procedure_B,
     repair,
+    run,
     variant_a_palette_cap,
 )
+
+from oracles import brute_is_valid, brute_monochromatic_maximal
 
 
 def complete(n):
@@ -172,3 +177,74 @@ class TestRepair:
             out = repair(g, coloring, budget=100)
             exact, _ = exact_clique_chromatic_number(g)
             assert out.coloring.palette_size >= exact
+
+
+class TestTinyGraphs:
+    @pytest.mark.parametrize(
+        "n, edges, p, colors, s",
+        [
+            (1, [], 0.5, (2,), 0),
+            (2, [], 0.1, (3, 3), 2),
+            (2, [], 0.5, (2, 3), 0),
+            (2, [(1, 2)], 0.1, (2, 1), 2),
+            (2, [(1, 2)], 0.9, (2, 3), 0),
+        ],
+    )
+    def test_variant_a_keeps_its_result(self, n, edges, p, colors, s):
+        coloring, rep = procedure_A(Graph.from_edges(n, edges), p)
+        assert coloring.colors == colors and rep.s == s and rep.mono_pre_repair == 0
+
+    def test_too_small_graphs_raise_value_error(self):
+        with pytest.raises(ValueError, match="at least 1 vertex"):
+            procedure_A(Graph.from_edges(0, []), 0.5)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 vertices"):
+                procedure_B(Graph.from_edges(n, []), 0.5)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            run(complete(4), 0.5, "C")
+
+
+class TestRun:
+    def test_matches_procedure_then_repair(self):
+        rng = random.Random(17)
+        for _ in range(12):
+            n = rng.choice([40, 100, 300])
+            p = rng.choice([0.2, 0.3, 0.5])
+            g = sample_gnp(n, p, seed=rng.randrange(2**32))
+            budget = rng.choice([0, 1, 1000])
+            for variant in "AB":
+                coloring, rep = procedure_A(g, p) if variant == "A" else procedure_B(g, p, 0.1)
+                assert run(g, p, variant, 0.1, budget) == (rep, repair(g, coloring, budget))
+
+    def test_counts_without_a_separate_validity_pass(self, monkeypatch):
+        def no_second_pass(*args, **kwargs):
+            raise AssertionError("run enumerated the coloring twice")
+
+        monkeypatch.setattr(upper, "monochromatic_maximal_cliques", no_second_pass)
+        # n=100, p=0.2, seed 12: variant B leaves two monochromatic cliques
+        rep, fixed = run(sample_gnp(100, 0.2, seed=12), 0.2, "B")
+        assert rep.mono_pre_repair == 2 and len(fixed.recolored) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    p=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    classes=st.integers(min_value=1, max_value=3),
+    palette_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    budget=st.sampled_from([0, 1, 2, 1000]),
+)
+def test_repair_counts_every_monochromatic_clique(n, p, seed, classes, palette_seed, budget):
+    g = sample_gnp(n, p, seed)
+    palette = random.Random(palette_seed)
+    c = Coloring(tuple(palette.randint(1, classes) for _ in range(n)))
+    fixed, count = upper._repair(g, c, budget)
+    assert count == len(brute_monochromatic_maximal(g, c.colors))
+    if fixed.exhausted:
+        left = len(brute_monochromatic_maximal(g, fixed.coloring.colors))
+        assert fixed.remaining_mono == min(left, 100) > 0
+    else:
+        assert brute_is_valid(g, fixed.coloring.colors)
