@@ -63,7 +63,9 @@ def _graph_source_args(sub, seed_default=0):
 
 
 def _emit(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(
+        _finite(doc), indent=2, sort_keys=True, allow_nan=False, default=_json_default
+    ) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -71,11 +73,20 @@ def _emit(doc: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """JSON has no NaN or infinity: such floats become "nan", "inf", "-inf"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _json_default(obj):
     if isinstance(obj, frozenset):
         return sorted(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -154,7 +165,7 @@ def cmd_params(args) -> int:
     a = max(math.ceil(max(sch.ell0, 0.0) / 4), 1)
     b = max(math.ceil(max(sch.ell0, 0.0) / (4 * sch.m)), 1)
     doc = {
-        "schedule": sch.to_dict(),
+        "schedule": asdict(sch),
         "janson_exponent_at_ell0": asdict(janson_exponent(sch, a, b)),
         "predicted": [asdict(bound) for bound in predicted_bounds(args.n, p)],
     }
@@ -186,9 +197,7 @@ def cmd_sweep(args) -> int:
             "version": 1,
             "elapsed": result.elapsed,
             "budget_exhausted": result.budget_exhausted,
-            "trials": [
-                dict(asdict(rec), wall_time=rec.wall_time) for rec in result.records
-            ],
+            "trials": [asdict(rec) for rec in result.records],
         }
         _emit(doc, args.report)
     print(f"{len(result.records)} records -> {args.out}")

@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO, get_args, get_type_hints
 
 from .coloring import Coloring, is_valid_clique_coloring
 from .graph import sample_gnp
@@ -58,86 +58,38 @@ PREDICTION_LABELS = (
     "half_log_base",
 )
 
-RECORD_COLUMNS = (
-    "schema_version",
-    "n",
-    "p",
-    "seed",
-    "procedure",
-    "palette",
-    "valid",
-    "repairs",
-    "leftover",
-    "s",
-    "z",
-    "delta",
-    "certificate_found",
-    "error",
-) + tuple(f"pred_{label}" for label in PREDICTION_LABELS)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentRecord:
+    """One trial. Its fields up to `error` are the CSV columns, in order,
+    after schema_version; one pred_<label> column per prediction follows."""
+
     n: int
     p: float
     seed: int
     procedure: str
-    palette: Optional[int]
-    valid: Optional[bool]
-    repairs: Optional[int]
-    leftover: Optional[int]
-    s: Optional[int]
-    z: Optional[int]
-    delta: Optional[float]
-    certificate_found: Optional[bool]
+    palette: Optional[int] = None
+    valid: Optional[bool] = None
+    repairs: Optional[int] = None
+    leftover: Optional[int] = None
+    s: Optional[int] = None
+    z: Optional[int] = None
+    delta: Optional[float] = None
+    certificate_found: Optional[bool] = None
     error: str
     predictions: dict[str, float]
     wall_time: float  # seconds; JSON-report only, excluded from the CSV
 
     def csv_row(self) -> list[str]:
-        cells = [
-            str(SCHEMA_VERSION),
-            str(self.n),
-            repr(self.p),
-            str(self.seed),
-            self.procedure,
-            _fmt(self.palette),
-            _fmt(self.valid),
-            _fmt(self.repairs),
-            _fmt(self.leftover),
-            _fmt(self.s),
-            _fmt(self.z),
-            _fmt(self.delta),
-            _fmt(self.certificate_found),
-            self.error,
-        ]
+        cells = [str(SCHEMA_VERSION)]
+        cells.extend(_fmt(getattr(self, name)) for name in _CELL_PARSERS)
         cells.extend(repr(self.predictions[label]) for label in PREDICTION_LABELS)
         return cells
 
     @classmethod
     def from_csv_row(cls, row: dict[str, str]) -> "ExperimentRecord":
         """Inverse of `csv_row` for a `read_records` row; wall_time reads 0."""
-
-        def opt_int(key):
-            return int(row[key]) if row[key] else None
-
-        def opt_bool(key):
-            return {"true": True, "false": False}.get(row[key])
-
         return cls(
-            n=int(row["n"]),
-            p=float(row["p"]),
-            seed=int(row["seed"]),
-            procedure=row["procedure"],
-            palette=opt_int("palette"),
-            valid=opt_bool("valid"),
-            repairs=opt_int("repairs"),
-            leftover=opt_int("leftover"),
-            s=opt_int("s"),
-            z=opt_int("z"),
-            delta=float(row["delta"]) if row["delta"] else None,
-            certificate_found=opt_bool("certificate_found"),
-            error=row["error"],
+            **{name: parse(row[name]) for name, parse in _CELL_PARSERS.items()},
             predictions={label: float(row[f"pred_{label}"]) for label in PREDICTION_LABELS},
             wall_time=0.0,
         )
@@ -151,6 +103,28 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _cell_parser(hint):
+    """CSV text -> value for a field annotated `hint`; an empty cell of an
+    Optional field, and a boolean cell other than true/false, read None."""
+    optional = type(None) in get_args(hint)
+    base = get_args(hint)[0] if optional else hint
+    parse = {"true": True, "false": False}.get if base is bool else base
+    return (lambda text: parse(text) if text else None) if optional else parse
+
+
+_CELL_PARSERS = {
+    name: _cell_parser(hint)
+    for name, hint in get_type_hints(ExperimentRecord).items()
+    if name not in ("predictions", "wall_time")
+}
+
+RECORD_COLUMNS = (
+    "schema_version",
+    *_CELL_PARSERS,
+    *(f"pred_{label}" for label in PREDICTION_LABELS),
+)
 
 
 @dataclass(frozen=True)
@@ -282,7 +256,6 @@ def _run_trial(task: _Task) -> ExperimentRecord:
                 s=rep.s,
                 z=rep.z,
                 delta=rep.delta,
-                certificate_found=None,
                 error=REPAIR_EXHAUSTED if fixed.exhausted else "",
                 wall_time=time.perf_counter() - start,
             )
@@ -299,10 +272,7 @@ def _run_trial(task: _Task) -> ExperimentRecord:
             **base,
             palette=classes,
             valid=valid,
-            repairs=None,
-            leftover=None,
             s=sch.s,
-            z=None,
             delta=sch.delta,
             certificate_found=found,
             error="",
@@ -311,14 +281,6 @@ def _run_trial(task: _Task) -> ExperimentRecord:
     except Exception as exc:  # per-trial failures never abort the sweep
         return ExperimentRecord(
             **base,
-            palette=None,
-            valid=None,
-            repairs=None,
-            leftover=None,
-            s=None,
-            z=None,
-            delta=None,
-            certificate_found=None,
             error=f"{type(exc).__name__}: {exc}",
             wall_time=time.perf_counter() - start,
         )

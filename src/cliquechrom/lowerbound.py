@@ -27,7 +27,7 @@ import numpy as np
 from .cliques import extend_to_maximal, find_clique_dominating_outside, is_maximal_clique
 from .coloring import Coloring
 from .graph import Graph, bits_of, iter_bits
-from .params import ParamSchedule, _phi_arr, lambda_report
+from .params import ParamSchedule, lambda_report
 
 __all__ = [
     "ell1",
@@ -487,14 +487,10 @@ def check_density_events(
         return total - np.searchsorted(degs, thresholds, side="left")
 
     # Level sets: i >= 1 while r_i p <= 1.
-    i_max = math.floor(-math.log(sch.p) / sch.zeta) if sch.p < 1.0 else 0
     level_violations: list[int] = []
-    if i_max >= 1:
-        i = np.arange(1, i_max + 1, dtype=np.int64)
-        r = np.exp(sch.zeta * i.astype(np.float64))
-        counts = count_at_least(r * sch.p * u_size)
-        x_i = math.log(sch.n) / (_phi_arr(np.expm1(sch.zeta * i)) * sch.p)
-        level_violations = [int(ii) for ii in i[counts > x_i]]
+    for i in sch.levels(1, sch.last_index(1.0)):
+        counts = count_at_least(sch.r(i) * sch.p * u_size)
+        level_violations.extend(int(ii) for ii in i[counts > sch.x(i)])
 
     alpha_ok = alpha_count = None
     harmonic_ok: Optional[bool] = None

@@ -1,10 +1,16 @@
 """Parameter schedule and closed-form bound calculus for G(n, p).
 
 Everything here is a finite-n evaluation of the asymptotic recipe: the case
-split on the sparsity exponent rho = log_n(1/p), the derived series
+split on the sparsity exponent rho = log_n(1/p), the level series
 r_i = e^{zeta*i} and x_i = log(n)/(phi(r_i - 1) p), the Lambda/Pi bound on
 the fraction of spoiled clique candidates, the Janson exponent lower bounds,
 and the leading-order predictions for the clique chromatic number.
+
+The level series has one home, `ParamSchedule`: `r`, `rate` and `x` give
+r_i, phi(r_i - 1) p and x_i for an index or an index array, `last_index`
+the last level with p r_i under a cutoff, and `levels` walks the indices
+in chunks. The Pi sums, the density-series minimum and
+`lowerbound.check_density_events` are all built from these.
 
 All powers are assembled in log-space, so nothing over- or underflows even
 for n around 1e300; scalar quantities use numpy's extended-precision long
@@ -12,8 +18,8 @@ double for extra headroom, while the long i-indexed series are summed
 chunked in float64 (pairwise reduction keeps the error near 1e-15 relative,
 far inside every stated tolerance). Natural logarithms are used throughout.
 The series have ~log^4(n) log(1/p) terms, so evaluation is instantaneous at
-desk scale but is refused with an error once direct summation would stop
-being feasible (roughly ln(n) > 200 with small p).
+desk scale but `levels` refuses with an error once direct summation would
+stop being feasible (roughly ln(n) > 200 with small p).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -52,18 +58,24 @@ NU = 1.0 / 10.0
 
 _LD = np.longdouble
 _CHUNK = 1 << 20
+_TERM_LIMIT = 500_000_000
+
+
+def _check_cell(n: float, p: float) -> None:
+    if not math.isfinite(n):
+        raise ValueError(f"n must be finite, got {n!r}")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
 
 
 def phi(x: float) -> float:
     """(1+x)*log(1+x) - x, the Chernoff rate function; domain x > -1."""
     if x <= -1.0:
         raise ValueError("phi requires x > -1")
-    if x == 0.0:
-        return 0.0
-    return (1.0 + x) * math.log1p(x) - x
+    return float(_phi(np.float64(x)))
 
 
-def _phi_arr(x: np.ndarray) -> np.ndarray:
+def _phi(x: np.ndarray) -> np.ndarray:
     """Vectorized phi with a series branch: the closed form cancels to
     O(x^2) for tiny x, so below 1e-4 use x^2 (1/2 - x/6 + x^2/12 - x^3/20)."""
     naive = (1.0 + x) * np.log1p(np.where(x > -1.0, x, 0.0)) - x
@@ -113,11 +125,44 @@ class ParamSchedule:
     delta_clamped: bool = False
     delta_raw: float = field(default=math.nan)
 
-    def r(self, i: int) -> float:
-        return math.exp(self.zeta * i)
+    def r(self, i):
+        """r_i = e^(zeta i), for an index or a float64 index array."""
+        return np.exp(self.zeta * i)
 
-    def x(self, i: int) -> float:
-        return math.log(self.n) / (phi(self.r(i) - 1.0) * self.p)
+    def rate(self, i):
+        """phi(r_i - 1) p at level i (an index or a float64 index array)."""
+        return _phi(np.expm1(self.zeta * i)) * self.p
+
+    def x(self, i):
+        """x_i = log(n) / (phi(r_i - 1) p)."""
+        rate = self.rate(i)
+        # Dividing in rate's own array saves one chunk-sized temporary per
+        # chunk of a series, which keeps the heap from being trimmed and
+        # refaulted on every chunk: it halves the page faults of the Pi sums
+        # at n = 1e12 (x86-64, glibc malloc).
+        return np.divide(math.log(self.n), rate, out=rate if np.ndim(rate) else None)
+
+    def last_index(self, cutoff: float) -> int:
+        """The last level i with p r_i <= cutoff; 0 when no level i >= 1 has it."""
+        if cutoff <= 0.0 or self.p > cutoff:
+            return 0
+        return math.floor((math.log(cutoff) - math.log(self.p)) / self.zeta)
+
+    def levels(self, first: int, last: int, reverse: bool = False) -> Iterator[np.ndarray]:
+        """The indices first..last as float64 chunks of at most 2^20, in
+        order or reversed; refuses a walk too long to sum directly."""
+        # The series has ~log^4(n) log(1/p) terms; around ln(n) > 200 with
+        # small p that stops being directly summable in reasonable time.
+        if last > _TERM_LIMIT:
+            raise ValueError(
+                f"level series has {last} terms; direct summation is infeasible "
+                "at this (n, p)"
+            )
+        starts = range(first, last + 1, _CHUNK)
+        return (
+            np.arange(lo, min(lo + _CHUNK, last + 1), dtype=np.float64)
+            for lo in (reversed(starts) if reverse else starts)
+        )
 
     @property
     def s_degenerate(self) -> bool:
@@ -126,26 +171,6 @@ class ParamSchedule:
     @property
     def tau_degenerate(self) -> bool:
         return not self.tau < 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "rho": self.rho,
-            "zeta": self.zeta,
-            "delta": self.delta,
-            "delta_raw": self.delta_raw,
-            "delta_clamped": self.delta_clamped,
-            "s": self.s,
-            "m": self.m,
-            "k": self.k,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "nu": self.nu,
-            "tau": self.tau,
-            "ell0": self.ell0,
-        }
 
 
 def make_schedule(
@@ -164,8 +189,7 @@ def make_schedule(
     Useful for tests and what-if evaluation; `build_schedule` is the
     canonical recipe.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_cell(n, p)
     if n < 3:
         raise ValueError("n must be >= 3")
     ln_n = math.log(n)
@@ -208,8 +232,7 @@ def build_schedule(n: float, p: float, epsilon: float = SIGMA / 2.0) -> ParamSch
     A delta outside (0, 1), which is routine at small n where the loglog
     correction dominates, is clamped to [0.01, 0.99] and flagged.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_cell(n, p)
     if n < 3:
         raise ValueError("n must be >= 3")
     ln_n = math.log(n)
@@ -262,49 +285,15 @@ class LambdaReport:
     nu: float
 
 
-_TERM_LIMIT = 500_000_000
-
-
-def _check_series_length(i_max: int, what: str) -> None:
-    # The defining series has ~log^4(n) log(1/p) terms; around ln(n) > 200
-    # with small p that stops being directly summable in reasonable time.
-    if i_max > _TERM_LIMIT:
-        raise ValueError(
-            f"{what} series has {i_max} terms; direct summation is infeasible "
-            "at this (n, p)"
-        )
-
-
-def _pi_series_terms(sch: ParamSchedule, lo: int, hi: int) -> np.ndarray:
-    """Terms x_i * ((r_{i+1} p)^(k-m) - (r_i p)^(k-m)) for i in [lo, hi)."""
-    km = sch.k - sch.m
-    ln_n = math.log(sch.n)
-    ln_p = math.log(sch.p)
-    zeta = sch.zeta
-    i = np.arange(lo, hi, dtype=np.float64)
-    x = np.expm1(zeta * i)  # r_i - 1
-    x_i = ln_n / (_phi_arr(x) * sch.p)
-    log_base = km * (ln_p + zeta * i)
-    step = math.expm1(zeta * km)  # (e^{zeta (k-m)} - 1)
-    return x_i * np.exp(log_base) * step
-
-
 def _pi_sum(sch: ParamSchedule, cutoff: float, reverse: bool = False) -> float:
-    """Direct summation of Pi_cutoff over i >= 2 with p * r_i <= cutoff."""
-    if cutoff <= 0.0 or sch.p > cutoff:
-        return 0.0
-    # p * e^(zeta i) <= cutoff  <=>  i <= (log cutoff - log p)/zeta
-    i_max = math.floor((math.log(cutoff) - math.log(sch.p)) / sch.zeta)
-    if i_max < 2:
-        return 0.0
-    _check_series_length(i_max, "Pi")
+    """Direct summation of Pi_cutoff, the terms
+    x_i ((r_{i+1} p)^(k-m) - (r_i p)^(k-m)) over i >= 2 with p r_i <= cutoff."""
+    km = sch.k - sch.m
+    ln_p = math.log(sch.p)
+    step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
     total = 0.0
-    spans = range(2, i_max + 1, _CHUNK)
-    if reverse:
-        spans = reversed(list(spans))
-    for lo in spans:
-        hi = min(lo + _CHUNK, i_max + 1)
-        terms = _pi_series_terms(sch, lo, hi)
+    for i in sch.levels(2, sch.last_index(cutoff), reverse):
+        terms = sch.x(i) * np.exp(km * (ln_p + sch.zeta * i)) * step
         if reverse:
             terms = terms[::-1]
         total += float(np.add.reduce(terms))
@@ -317,7 +306,7 @@ def _lambda0(sch: ParamSchedule) -> np.longdouble:
     ln_p = _LD(np.log(_LD(sch.p)))
     zeta = _LD(sch.zeta)
     # x_1 in log-space to dodge intermediate under/overflow.
-    log_x1 = np.log(ln_n) - np.log(_phi_arr(np.expm1(zeta))) - ln_p
+    log_x1 = np.log(ln_n) - np.log(_phi(np.expm1(zeta))) - ln_p
     term1 = _LD(sch.m + 1) * np.exp(log_x1 + km * (ln_p + 2 * zeta))
     term2 = np.exp(np.log(_LD(sch.n)) + sch.k * (ln_p + zeta))
     return term1 + term2
@@ -426,19 +415,11 @@ class InequalityReport:
 
 def _density_series_lhs(sch: ParamSchedule) -> float:
     """min over i >= 1 with r_i p <= 1 of ceil(x_i)(phi(r_i-1) p - log^3(n)/ell0)."""
-    if sch.p >= 1.0:
-        return math.inf
-    i_max = math.floor(-math.log(sch.p) / sch.zeta)
-    if i_max < 1:
-        return math.inf
-    _check_series_length(i_max, "density")
     ln_n = math.log(sch.n)
     correction = ln_n**3 / sch.ell0
     best = math.inf
-    for lo in range(1, i_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK, i_max + 1)
-        i = np.arange(lo, hi, dtype=np.float64)
-        rate = _phi_arr(np.expm1(sch.zeta * i)) * sch.p
+    for i in sch.levels(1, sch.last_index(1.0)):
+        rate = sch.rate(i)
         x_i = np.ceil(ln_n / rate)
         vals = x_i * (rate - correction)
         best = min(best, float(vals.min()))
@@ -529,8 +510,7 @@ class Prediction:
 def predicted_bounds(n: float, p: float) -> list[Prediction]:
     """Leading-order predicted values (o(.) terms dropped) for the clique
     chromatic number, each with a heuristic applicability window on p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    _check_cell(n, p)
     ln_n = math.log(n)
     rho = math.log(1.0 / p) / ln_n
     out = [

@@ -21,8 +21,8 @@ vertex with a fresh color until the coloring is valid or a budget runs out.
 `cliquechrom color` and the sweep harness. Its report's `mono_pre_repair`
 is counted by repair's first Bron-Kerbosch pass over each color class, so
 each coloring is enumerated once. `procedure_A` and `procedure_B` return
-the unrepaired coloring and count `mono_pre_repair` with their own
-validity pass.
+the unrepaired coloring and count `mono_pre_repair` with a repair pass
+that recolors nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cliques import maximal_cliques_within
-from .coloring import Coloring, monochromatic_maximal_cliques
+from .coloring import Coloring
 from .graph import Graph, iter_bits
 from .params import class_count
 
@@ -197,7 +197,8 @@ def _color(
 
 
 def _counted(g: Graph, coloring: Coloring, fields: dict) -> tuple[Coloring, ProcedureReport]:
-    mono = len(monochromatic_maximal_cliques(g, coloring))
+    # At budget 0 `_repair` recolours nothing and counts every class in full.
+    mono = _repair(g, coloring, 0)[1]
     return coloring, ProcedureReport(**fields, mono_pre_repair=mono)
 
 

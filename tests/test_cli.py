@@ -11,6 +11,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def strict_json(text):
+    """json.loads that rejects the non-standard NaN/Infinity literals."""
+
+    def reject(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestGenAndChromatic:
     def test_gen_then_exact(self, tmp_path, capsys):
         graph = tmp_path / "g.edges"
@@ -67,6 +76,13 @@ class TestColor:
         assert "Traceback" not in err
         assert err.startswith("error: ") if code else err == ""
 
+    def test_nan_is_written_as_a_string(self, tmp_path, capsys):
+        graph = tmp_path / "one.edges"
+        graph.write_text("1 0\n")
+        assert run(["color", "--graph", graph, "--assume-p", 0.5, "--variant", "A"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["delta_raw"] == "nan"
+
     def test_colored_output_validates(self, tmp_path):
         graph = tmp_path / "g.edges"
         run(["gen", "--n", 120, "--p", 0.3, "--seed", 9, "--out", graph])
@@ -101,6 +117,18 @@ class TestParams:
         # rho = log(5)/log(1e4) = 0.1747, so k = ceil(1/rho + 1/2) = 7
         assert doc["schedule"]["m"] == 1 and doc["schedule"]["k"] == 7
         assert "counting_margin" in doc["inequalities"]["flags"]
+
+    def test_infinities_are_written_as_strings(self, capsys):
+        # rho = 0.45 makes ell0 negative: the density series reads -inf/+inf
+        assert run(["params", "--n", 1e6, "--rho", 0.45]) == 0
+        values = strict_json(capsys.readouterr().out)["inequalities"]["values"]
+        assert (values["density_series_lhs"], values["density_series_rhs"]) == ("-inf", "inf")
+
+    @pytest.mark.parametrize("n", ["1e400", "nan"])
+    def test_non_finite_n_is_invalid_input(self, capsys, n):
+        assert run(["params", "--n", n, "--p", 0.5]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be finite") and "Traceback" not in err
 
     def test_rho_flag(self, tmp_path, capsys):
         assert run(["params", "--n", 1000, "--rho", 0.35]) == 0

@@ -1,12 +1,17 @@
-"""Golden hashes that pin the sweep CSV, repair's recolour lists and the
-`color` command's outputs.
+"""Golden hashes that pin the sweep CSV, repair's recolour lists, the
+`color` command's outputs and the level-series calculus.
 
-The expected digests were computed with the code from before `repair`
+The first three digests were computed with the code from before `repair`
 counted monochromatic cliques in its own first pass (when the procedures
-ran a separate validity pass); a change to any colouring, recolour order,
-exhaustion report or CSV byte shows up here.
+ran a separate validity pass). The series digest and the certify sweep
+digest were computed with the code from before the level series r_i, x_i
+moved behind `ParamSchedule` (when `params` and `lowerbound` each built
+them) and before the record columns were derived from `ExperimentRecord`.
+A change to any colouring, recolour order, exhaustion report, CSV byte or
+bit of a series value shows up here.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,9 +23,15 @@ from cliquechrom.cli import main
 from cliquechrom.coloring import Coloring
 from cliquechrom.graph import sample_gnp
 from cliquechrom.harness import SweepConfig, run_sweep, write_records
+from cliquechrom.lowerbound import check_density_events
+from cliquechrom.params import build_schedule, inequality_check, lambda_report
 from cliquechrom.upper import repair
 
 SWEEP_CSV_SHA256 = "9e9a8465ef3bf400e7b3bb5a3bb066c9b72a597c2a57962609d3b4c46e0bb022"
+# A, B and certify at n in {300, 600}, p in {0.05, 0.3}: 8 certify rows and
+# 4 error rows (variant B refuses p = 0.05 at both n).
+CERTIFY_SWEEP_CSV_SHA256 = "377d77f71e94be74e4ff8ac08df67ff2902c02660e858857214a2e848d450895"
+SERIES_SHA256 = "0609476f67edadff2cbaf916862f5b848af9b0b6e8541c2d964b3362914f9488"
 REPAIR_TRANSCRIPT_SHA256 = "b482c8056adc3be76404aeb1b198e05298a4f3e9e6b477705b59552efbfe2b6c"
 # (report JSON, coloring file) of `color --n 100 --p 0.2 --seed 12`; variant B
 # starts with two monochromatic maximal cliques and recolors two vertices.
@@ -36,17 +47,65 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def records_csv(cfg: SweepConfig) -> str:
+    buf = io.StringIO()
+    write_records(run_sweep(cfg).records, buf)
+    return buf.getvalue()
+
+
 def sweep_csv() -> str:
-    cfg = SweepConfig(
+    return records_csv(SweepConfig(
         n_grid=(300, 1000),
         p_grid=(0.1, 0.3, 0.5),
         trials=3,
         master_seed=2403,
         procedures=("A", "B"),
-    )
-    buf = io.StringIO()
-    write_records(run_sweep(cfg).records, buf)
-    return buf.getvalue()
+    ))
+
+
+def certify_sweep_csv() -> str:
+    return records_csv(SweepConfig(
+        n_grid=(300, 600),
+        p_grid=(0.05, 0.3),
+        trials=2,
+        master_seed=2403,
+        procedures=("A", "B", "certify"),
+        relax=0.25,
+        certify_budget=2000,
+    ))
+
+
+def _hex(value):
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def series_transcript() -> str:
+    """One JSON line per schedule: Lambda/Pi summed forward and in reverse
+    and the inequality values and flags, every float as float.hex; then the
+    density events of three fixed (graph, W, U) cases."""
+    lines = []
+    for n in (1e4, 1e6, 1e9, 1e12):
+        for rho in (0.1, 0.2, 0.3, 0.38, 0.45):
+            sch = build_schedule(n, n**-rho)
+            forward = lambda_report(sch)
+            reverse = lambda_report(sch, reverse=True)
+            ineq = inequality_check(sch, forward)
+            lines.append(json.dumps([
+                n, rho,
+                {k: _hex(v) for k, v in dataclasses.asdict(forward).items()},
+                {k: _hex(v) for k, v in dataclasses.asdict(reverse).items()},
+                {k: _hex(v) for k, v in ineq.values.items()},
+                ineq.flags,
+            ], sort_keys=True))
+    # (n, graph p, schedule p, seed, W = multiples of mod, U = every step-th
+    # of W): level and harmonic violations at m = 1, the alpha event at m > 1.
+    cases = ((200, 0.6, 0.1, 11, 2, 25), (300, 0.95, 0.97, 12, 3, 2), (400, 0.5, 0.05, 13, 2, 20))
+    for n, p_graph, p, seed, mod, step in cases:
+        g = sample_gnp(n, p_graph, seed)
+        w = [v for v in range(1, n + 1) if v % mod == 0]
+        rep = check_density_events(g, w, w[::step], build_schedule(n, p))
+        lines.append(json.dumps([n, p, dataclasses.asdict(rep)], sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 def repair_transcript() -> str:
@@ -70,6 +129,14 @@ def repair_transcript() -> str:
 
 def test_sweep_csv_matches_golden_hash():
     assert sha256(sweep_csv()) == SWEEP_CSV_SHA256
+
+
+def test_certify_sweep_csv_matches_golden_hash():
+    assert sha256(certify_sweep_csv()) == CERTIFY_SWEEP_CSV_SHA256
+
+
+def test_series_values_match_golden_hash():
+    assert sha256(series_transcript()) == SERIES_SHA256
 
 
 def test_repair_transcript_matches_golden_hash():

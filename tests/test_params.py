@@ -94,6 +94,15 @@ class TestBuildSchedule:
             with pytest.raises(ValueError):
                 build_schedule(100, p)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_rejects_non_finite_n(self, n):
+        with pytest.raises(ValueError, match="finite"):
+            build_schedule(n, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            make_schedule(n, 0.5, delta=0.5, m=1, k=3, epsilon=0.005)
+        with pytest.raises(ValueError, match="finite"):
+            predicted_bounds(n, 0.5)
+
 
 class TestRefinedDelta:
     def test_min_term_is_5eps_over_2(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquechrom import upper
+from cliquechrom.cliques import maximal_cliques_within
 from cliquechrom.coloring import Coloring, is_valid_clique_coloring, monochromatic_maximal_cliques
 from cliquechrom.graph import Graph, sample_gnp
 from cliquechrom.upper import (
@@ -219,13 +220,19 @@ class TestRun:
                 assert run(g, p, variant, 0.1, budget) == (rep, repair(g, coloring, budget))
 
     def test_counts_without_a_separate_validity_pass(self, monkeypatch):
-        def no_second_pass(*args, **kwargs):
-            raise AssertionError("run enumerated the coloring twice")
+        calls = []
 
-        monkeypatch.setattr(upper, "monochromatic_maximal_cliques", no_second_pass)
+        def counted(g, members):
+            calls.append(members)
+            return maximal_cliques_within(g, members)
+
+        monkeypatch.setattr(upper, "maximal_cliques_within", counted)
         # n=100, p=0.2, seed 12: variant B leaves two monochromatic cliques
         rep, fixed = run(sample_gnp(100, 0.2, seed=12), 0.2, "B")
         assert rep.mono_pre_repair == 2 and len(fixed.recolored) == 2
+        # One enumeration per class, plus one restart per recolour; a
+        # separate validity pass would add another per class.
+        assert len(calls) == rep.palette + len(fixed.recolored)
 
 
 @settings(max_examples=150, deadline=None)
