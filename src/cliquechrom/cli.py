@@ -292,8 +292,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -150,6 +150,9 @@ class Graph:
         return Graph._wrap(len(order), adj), order
 
 
+_ROW_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n, p): each unordered pair is an edge independently w.p. p.
 
@@ -163,17 +166,32 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     rng = np.random.Generator(np.random.PCG64(seed))
     nbytes = (n + 8) // 8
     packed = np.zeros((n + 1, nbytes), dtype=np.uint8)
-    row = np.zeros(n + 1, dtype=bool)
-    for u in range(1, n):
-        hits = rng.random(n - u) < p
-        row[: u + 1] = False
-        row[u + 1 :] = hits
-        packed[u] |= np.packbits(row, bitorder="little")[:nbytes]
-        partners = np.nonzero(hits)[0] + (u + 1)
-        packed[partners, u >> 3] |= np.uint8(1 << (u & 7))
+    # Row u sets bit u of each partner v > u. For the eight rows
+    # u = base..base+7 (base a multiple of 8) those bits all land in byte
+    # column base >> 3, so the block is drawn into one bool buffer (row i
+    # holds the pairs of u = base + i) and transposed into that column.
+    block = np.zeros((8, 8 * nbytes), dtype=bool)
+    words = block.view(np.dtype("<u8"))
+    lanes = np.zeros_like(words)
+    column = np.zeros(nbytes, dtype=words.dtype)
+    for base in range(0, n, 8):
+        # Row i must be False up to its diagonal base + i; the previous
+        # block's row i drew from column base - 7 + i on. Columns past n
+        # are never drawn.
+        block[:, max(base - 7, 0) : base + 8] = False
+        for i in range(max(1 - base, 0), min(8, n - base)):
+            u = base + i
+            np.less(rng.random(n - u), p, out=block[i, u + 1 : n + 1])
+        rows = min(8, n + 1 - base)
+        packed[base : base + rows] |= np.packbits(block, axis=1, bitorder="little")[:rows]
+        # Bools are 0/1 bytes, so shifting row i's words by i moves each
+        # flag to bit i of its own byte with no carry between bytes.
+        np.left_shift(words, _ROW_SHIFTS, out=lanes)
+        np.bitwise_or.reduce(lanes, axis=0, out=column)
+        packed[:, base >> 3] |= column.view(np.uint8)[: n + 1]
     adj = [0] * (n + 1)
     for v in range(1, n + 1):
-        adj[v] = int.from_bytes(packed[v].tobytes(), "little")
+        adj[v] = int.from_bytes(packed[v].data, "little")
     return Graph._wrap(n, adj)
 
 

@@ -147,6 +147,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise ValueError("n grid must be nonempty")
+        if min(self.n_grid) < 2:
+            raise ValueError(f"every n must be >= 2, got {min(self.n_grid)}")
         if bool(self.p_grid) == bool(self.rho_grid):
             raise ValueError("exactly one of the p grid and the rho grid must be given")
         if self.trials < 1:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from cliquechrom.graph import Graph
 
 
@@ -76,3 +78,25 @@ def brute_chromatic(g: Graph) -> int:
             if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges()):
                 return q
         q += 1
+
+
+def reference_sample_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) drawn one row at a time: row u's pairs (u, v), v > u, take
+    the next n - u doubles of the PCG64 stream, and each hit is scattered
+    into column u of its partner's row. The library's sampler must give the
+    same graph for every (n, p, seed)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    nbytes = (n + 8) // 8
+    packed = np.zeros((n + 1, nbytes), dtype=np.uint8)
+    row = np.zeros(n + 1, dtype=bool)
+    for u in range(1, n):
+        hits = rng.random(n - u) < p
+        row[: u + 1] = False
+        row[u + 1 :] = hits
+        packed[u] |= np.packbits(row, bitorder="little")[:nbytes]
+        partners = np.nonzero(hits)[0] + (u + 1)
+        packed[partners, u >> 3] |= np.uint8(1 << (u & 7))
+    adj = [0] * (n + 1)
+    for v in range(1, n + 1):
+        adj[v] = int.from_bytes(packed[v].tobytes(), "little")
+    return Graph._wrap(n, adj)

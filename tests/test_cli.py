@@ -1,9 +1,13 @@
 """End-to-end CLI behavior and exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cliquechrom
 from cliquechrom.cli import main
 
 
@@ -167,3 +171,58 @@ class TestSweepCompare:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"version": 1, "n": [], "p": [0.2]}))
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_n_below_two_is_invalid_input(self, tmp_path, capsys, n):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "n": [n], "p": [0.5]}))
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: every n must be >= 2") and "Traceback" not in err
+
+    def test_n_two_sweeps(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "n": [2], "p": [0.5], "procedures": ["A", "B"],
+        }))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+
+class TestOutOfMemory:
+    """Requests too large for memory are invalid input. Each command runs in
+    a child whose address space is capped at 2 GB, so the test never touches
+    large memory whatever the host's overcommit policy."""
+
+    @staticmethod
+    def run_capped(args):
+        resource = pytest.importorskip("resource")
+        limit = 2 * 1024**3
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(cliquechrom.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "cliquechrom.cli", *map(str, args)],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap,
+            env={"PYTHONPATH": src, "PATH": ""},
+        )
+
+    def check_invalid(self, proc):
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_gen_beyond_memory(self):
+        # the packed adjacency alone would be 466 GiB
+        self.check_invalid(self.run_capped(["gen", "--n", 2_000_000, "--p", 0.5]))
+
+    def test_validate_huge_header(self, tmp_path):
+        graph = tmp_path / "huge.edges"
+        graph.write_text("100000000000 0\n")
+        colors = tmp_path / "c.colors"
+        colors.write_text("1 1\n")
+        proc = self.run_capped(["validate", "--graph", graph, "--coloring", colors])
+        self.check_invalid(proc)
+        assert proc.stderr == "error: MemoryError\n"

@@ -1,5 +1,6 @@
 """Golden hashes that pin the sweep CSV, repair's recolour lists, the
-`color` command's outputs and the level-series calculus.
+`color` command's outputs, the level-series calculus and the G(n, p)
+sampler's PCG64 stream.
 
 The first three digests were computed with the code from before `repair`
 counted monochromatic cliques in its own first pass (when the procedures
@@ -7,8 +8,11 @@ ran a separate validity pass). The series digest and the certify sweep
 digest were computed with the code from before the level series r_i, x_i
 moved behind `ParamSchedule` (when `params` and `lowerbound` each built
 them) and before the record columns were derived from `ExperimentRecord`.
-A change to any colouring, recolour order, exhaustion report, CSV byte or
-bit of a series value shows up here.
+The sampler digest was computed with the code from before `sample_gnp`
+drew eight rows at a time (when it scattered each row's hits into the
+columns of its partners).
+A change to any sampled edge, colouring, recolour order, exhaustion report,
+CSV byte or bit of a series value shows up here.
 """
 
 import dataclasses
@@ -32,6 +36,7 @@ SWEEP_CSV_SHA256 = "9e9a8465ef3bf400e7b3bb5a3bb066c9b72a597c2a57962609d3b4c46e0b
 # 4 error rows (variant B refuses p = 0.05 at both n).
 CERTIFY_SWEEP_CSV_SHA256 = "377d77f71e94be74e4ff8ac08df67ff2902c02660e858857214a2e848d450895"
 SERIES_SHA256 = "0609476f67edadff2cbaf916862f5b848af9b0b6e8541c2d964b3362914f9488"
+SAMPLER_SHA256 = "834258dacd723ed76fcf425c676c4db973d30d07ebefce818ab41c44ef56252e"
 REPAIR_TRANSCRIPT_SHA256 = "b482c8056adc3be76404aeb1b198e05298a4f3e9e6b477705b59552efbfe2b6c"
 # (report JSON, coloring file) of `color --n 100 --p 0.2 --seed 12`; variant B
 # starts with two monochromatic maximal cliques and recolors two vertices.
@@ -108,6 +113,19 @@ def series_transcript() -> str:
     return "\n".join(lines) + "\n"
 
 
+def sampler_transcript() -> str:
+    """One line per (n, p, seed): the SHA-256 of the adjacency rows, each
+    row as (n + 8) // 8 little-endian bytes, slot 0 included."""
+    lines = []
+    for n in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 500, 2000):
+        for p in (0.0, 0.05, 0.3, 0.9, 1.0):
+            for seed in (0, 2403):
+                rows = b"".join(row.to_bytes((n + 8) // 8, "little")
+                                for row in sample_gnp(n, p, seed).adj)
+                lines.append(f"{n} {p} {seed} {hashlib.sha256(rows).hexdigest()}")
+    return "\n".join(lines) + "\n"
+
+
 def repair_transcript() -> str:
     """One JSON line per (coarse random colouring, budget)."""
     rng = random.Random(2403)
@@ -137,6 +155,10 @@ def test_certify_sweep_csv_matches_golden_hash():
 
 def test_series_values_match_golden_hash():
     assert sha256(series_transcript()) == SERIES_SHA256
+
+
+def test_sampler_matches_golden_hash():
+    assert sha256(sampler_transcript()) == SAMPLER_SHA256
 
 
 def test_repair_transcript_matches_golden_hash():

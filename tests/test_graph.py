@@ -4,6 +4,7 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquechrom.graph import (
     Graph,
@@ -13,6 +14,7 @@ from cliquechrom.graph import (
     sample_gnp,
     write_edge_list,
 )
+from oracles import reference_sample_gnp
 
 
 def complete(n):
@@ -61,6 +63,19 @@ class TestSampling:
             sample_gnp(5, -0.1, seed=1)
         with pytest.raises(ValueError):
             sample_gnp(5, 1.5, seed=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=80),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_matches_reference_sampler(self, n, p, seed):
+        assert sample_gnp(n, p, seed).adj == reference_sample_gnp(n, p, seed).adj
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_matches_reference_sampler_full_width(self, n):
+        assert sample_gnp(n, 0.3, seed=2403).adj == reference_sample_gnp(n, 0.3, seed=2403).adj
 
     def test_max_degree_tail_proxy(self):
         # fast version of the 2np degree-cap proxy; the acceptance suite
