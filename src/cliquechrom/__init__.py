@@ -4,7 +4,6 @@ from .graph import (
     Graph,
     sample_gnp,
     common_non_neighbors,
-    degree_stats,
     read_edge_list,
     write_edge_list,
 )
@@ -30,7 +29,6 @@ from .params import (
     ParamSchedule,
     make_schedule,
     build_schedule,
-    refined_delta,
     class_count,
     lambda_report,
     janson_exponent,
@@ -39,7 +37,6 @@ from .params import (
     predicted_bounds,
 )
 from .lowerbound import (
-    ell1,
     is_useful,
     select_useful_class,
     pseudo_partition,

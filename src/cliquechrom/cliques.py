@@ -157,9 +157,7 @@ def find_clique_dominating_outside(
     budget is reported as None. A successful K is extended (necessarily
     inside w) to a clique that is inclusion-maximal in g before returning.
     """
-    wb = bits_of(w)
-    if wb & ~g.all_bits:
-        raise ValueError("w contains ids outside [1, n]")
+    wb = g.bits(w)
     outside = g.all_bits & ~wb
     if wb == 0:
         return None

@@ -10,7 +10,7 @@ makes the returned witness the lexicographically least valid assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, TextIO
+from typing import Mapping, Optional, TextIO
 
 from .cliques import enumerate_maximal_cliques, maximal_cliques_within
 from .graph import Graph, bits_of, iter_bits
@@ -42,10 +42,6 @@ class Coloring:
     colors: tuple[int, ...]
 
     @classmethod
-    def from_sequence(cls, colors: Sequence[int]) -> "Coloring":
-        return cls(tuple(int(c) for c in colors))
-
-    @classmethod
     def from_mapping(cls, n: int, mapping: Mapping[int, int]) -> "Coloring":
         if set(mapping) != set(range(1, n + 1)):
             raise ValueError("coloring must assign every vertex in [1, n] exactly once")
@@ -61,12 +57,6 @@ class Coloring:
     @property
     def palette_size(self) -> int:
         return len(set(self.colors))
-
-    def classes(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for v, c in enumerate(self.colors, start=1):
-            out.setdefault(c, set()).add(v)
-        return out
 
     def class_bits(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -13,8 +13,7 @@ pair (u, v) with u < v consumes one uniform double, in row-major order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "Graph",
     "sample_gnp",
     "common_non_neighbors",
-    "degree_stats",
-    "DegreeStats",
     "read_edge_list",
     "write_edge_list",
     "bits_of",
@@ -66,14 +63,16 @@ class Graph:
     def _validate(self) -> None:
         if self.adj[0] != 0:
             raise ValueError("slot 0 of the adjacency list must be empty")
-        mask = self.all_bits
-        for v in range(1, self.n + 1):
+        n = self.n
+        for v in range(1, n + 1):
             row = self.adj[v]
-            if row & ~mask:
+            # Shifts keep this linear, where an n-bit complement of each row
+            # would not; a negative row has bits above n set.
+            if row & 1 or row >> (n + 1):
                 raise ValueError(f"vertex {v} has a neighbor outside [1, n]")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(1, self.n + 1):
+        for v in range(1, n + 1):
             for u in iter_bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {{{u}, {v}}}")
@@ -100,12 +99,13 @@ class Graph:
             adj[v] |= 1 << u
         return cls._wrap(n, adj)
 
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(iter_bits(self.adj[v]))
+    def bits(self, vertices: Iterable[int]) -> int:
+        """Pack vertex ids into a bitset; raises ValueError for an id outside
+        [1, n]."""
+        bits = bits_of(vertices)
+        if bits & 1 or bits >> (self.n + 1):
+            raise ValueError(f"vertex ids must lie in [1, {self.n}]")
+        return bits
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -200,30 +200,11 @@ def common_non_neighbors(g: Graph, s: Iterable[int]) -> set[int]:
 
     Empty s returns all of V.
     """
-    sbits = bits_of(s)
-    if sbits & ~g.all_bits:
-        raise ValueError("s contains ids outside [1, n]")
+    sbits = g.bits(s)
     bits = g.all_bits & ~sbits
     for u in iter_bits(sbits):
         bits &= ~g.adj[u]
     return set(iter_bits(bits))
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    max_degree: int
-    degrees: tuple[int, ...]  # degrees[i] = degree of vertex i+1
-    codegree: Callable[[int, int], int]
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    """Exact degrees plus an on-demand codegree function |Γ(u) ∩ Γ(v)|."""
-    degrees = tuple(g.adj[v].bit_count() for v in range(1, g.n + 1))
-
-    def codegree(u: int, v: int) -> int:
-        return (g.adj[u] & g.adj[v]).bit_count()
-
-    return DegreeStats(max(degrees, default=0), degrees, codegree)
 
 
 def write_edge_list(g: Graph, fh: TextIO) -> None:

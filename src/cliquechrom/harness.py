@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO, get_args, get_type_hints
 
 from .coloring import Coloring, is_valid_clique_coloring
@@ -218,35 +219,14 @@ def mix_seed(master: int, cell: int, trial: int) -> int:
     return x >> 1  # keep it in signed-64 range for portability
 
 
-@dataclass(frozen=True)
-class _Task:
-    cell_index: int
-    trial_index: int
-    n: int
-    p: float
-    procedure: str
-    seed: int
-    epsilon: Optional[float]
-    repair_budget: int
-    relax: Optional[float]
-    certify_classes: int
-    certify_budget: int
-
-
-def _run_trial(task: _Task) -> ExperimentRecord:
+def _run_trial(cfg: SweepConfig, n: int, p: float, procedure: str, seed: int) -> ExperimentRecord:
     start = time.perf_counter()
-    preds = {b.label: b.value for b in predicted_bounds(task.n, task.p)}
-    base = dict(
-        n=task.n,
-        p=task.p,
-        seed=task.seed,
-        procedure=task.procedure,
-        predictions=preds,
-    )
+    preds = {b.label: b.value for b in predicted_bounds(n, p)}
+    base = dict(n=n, p=p, seed=seed, procedure=procedure, predictions=preds)
     try:
-        g = sample_gnp(task.n, task.p, task.seed)
-        if task.procedure in ("A", "B"):
-            rep, fixed = upper.run(g, task.p, task.procedure, task.epsilon, task.repair_budget)
+        g = sample_gnp(n, p, seed)
+        if procedure in ("A", "B"):
+            rep, fixed = upper.run(g, p, procedure, cfg.epsilon, cfg.repair_budget)
             # repair terminates only on a coloring with no monochromatic
             # maximal clique, so validity reduces to non-exhaustion.
             return ExperimentRecord(
@@ -262,12 +242,10 @@ def _run_trial(task: _Task) -> ExperimentRecord:
                 wall_time=time.perf_counter() - start,
             )
         # certify trial: a deliberately coarse round-robin coloring.
-        classes = task.certify_classes
-        coloring = Coloring(tuple(1 + (v - 1) % classes for v in range(1, task.n + 1)))
-        sch = build_schedule(task.n, task.p)
-        report = certify(
-            g, coloring, sch, seed=task.seed, budget=task.certify_budget, relax=task.relax
-        )
+        classes = cfg.certify_classes
+        coloring = Coloring(tuple(1 + (v - 1) % classes for v in range(1, n + 1)))
+        sch = build_schedule(n, p)
+        report = certify(g, coloring, sch, seed=seed, budget=cfg.certify_budget, relax=cfg.relax)
         found = report.found and report.validated
         valid = False if found else is_valid_clique_coloring(g, coloring)
         return ExperimentRecord(
@@ -291,8 +269,6 @@ def _run_trial(task: _Task) -> ExperimentRecord:
 def _pool_size(requested: int, tasks: int) -> int:
     """Worker processes for a sweep: the requested count, capped by the CPUs
     and by the number of tasks."""
-    if requested < 1:
-        raise ValueError("workers must be >= 1")
     return min(requested, os.cpu_count() or 1, tasks)
 
 
@@ -307,34 +283,21 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     """Execute every (cell, trial); per-trial errors are recorded in the
     record's error column, never raised."""
     start = time.perf_counter()
-    tasks = []
-    for cell_index, (n, p, proc) in enumerate(cfg.cells()):
-        for trial in range(cfg.trials):
-            tasks.append(
-                _Task(
-                    cell_index=cell_index,
-                    trial_index=trial,
-                    n=n,
-                    p=p,
-                    procedure=proc,
-                    seed=mix_seed(cfg.master_seed, cell_index, trial),
-                    epsilon=cfg.epsilon,
-                    repair_budget=cfg.repair_budget,
-                    relax=cfg.relax,
-                    certify_classes=cfg.certify_classes,
-                    certify_budget=cfg.certify_budget,
-                )
-            )
-    nworkers = _pool_size(cfg.workers if workers is None else workers, len(tasks))
+    if workers is not None:
+        cfg = dataclasses.replace(cfg, workers=workers)
+    tasks = [
+        (n, p, proc, mix_seed(cfg.master_seed, cell_index, trial))
+        for cell_index, (n, p, proc) in enumerate(cfg.cells())
+        for trial in range(cfg.trials)
+    ]
+    # Both maps keep the (cell, trial) order of `tasks`.
+    args = (_run_trial, repeat(cfg, len(tasks)), *zip(*tasks))
+    nworkers = _pool_size(cfg.workers, len(tasks))
     if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_run_trial, tasks, chunksize=1))
+            records = tuple(pool.map(*args, chunksize=1))
     else:
-        results = [_run_trial(task) for task in tasks]
-    # `tasks` is already in (cell, trial) order and map preserves it; the
-    # sort keeps the merge order explicit and future-proof.
-    paired = sorted(zip(tasks, results), key=lambda tr: (tr[0].cell_index, tr[0].trial_index))
-    records = tuple(rec for _, rec in paired)
+        records = tuple(map(*args))
     exhausted = any(rec.error == REPAIR_EXHAUSTED for rec in records)
     return SweepResult(records=records, budget_exhausted=exhausted, elapsed=time.perf_counter() - start)
 

@@ -26,11 +26,10 @@ import numpy as np
 
 from .cliques import extend_to_maximal, find_clique_dominating_outside, is_maximal_clique
 from .coloring import Coloring
-from .graph import Graph, bits_of, iter_bits
+from .graph import Graph, bits_of, common_non_neighbors, iter_bits
 from .params import ParamSchedule, lambda_report
 
 __all__ = [
-    "ell1",
     "is_useful",
     "Selection",
     "select_useful_class",
@@ -48,31 +47,12 @@ __all__ = [
 ]
 
 
-def ell1(w: Iterable[int], sch: ParamSchedule) -> float:
-    """Non-neighbor threshold ell_1(W) = max((1-tau) n^(1-delta)/s, |W| - 2np).
-
-    A degenerate tau (>= 1) zeroes out the first branch; a degenerate s
-    (< 1) is treated as 1 so the formula stays finite. ell_1(emptyset) is
-    the schedule's ell0.
-    """
-    size = len(w) if hasattr(w, "__len__") else sum(1 for _ in w)
-    return _ell1_size(size, sch)
-
-
-def _ell1_size(size: int, sch: ParamSchedule) -> float:
-    if sch.tau < 1.0:
-        first = (1.0 - sch.tau) * sch.n ** (1.0 - sch.delta) / max(sch.s, 1)
-    else:
-        first = -math.inf
-    return max(first, size - 2.0 * sch.n * sch.p)
-
-
 def _threshold(size: int, sch: ParamSchedule, relax: Optional[float]) -> float:
     if relax is not None:
         if not 0.0 < relax <= 1.0:
             raise ValueError("relax fraction must lie in (0, 1]")
         return relax * size
-    return _ell1_size(size, sch)
+    return sch.ell1(size)
 
 
 def is_useful(
@@ -80,9 +60,7 @@ def is_useful(
 ) -> bool:
     """True iff |V \\ W| >= max(s-1, 1) and every outside vertex has at least
     ell_1(W) non-neighbors in W (relax*|W| instead when relax is given)."""
-    wb = bits_of(w)
-    if wb & ~g.all_bits:
-        raise ValueError("w contains ids outside [1, n]")
+    wb = g.bits(w)
     outside = g.all_bits & ~wb
     if outside.bit_count() < max(sch.s - 1, 1):
         return False
@@ -145,12 +123,9 @@ def select_useful_class(
         if best_v is not None:
             s_vertices.append(best_v)
 
-    sb = bits_of(s_vertices)
-    nb = g.all_bits & ~sb
-    for v in s_vertices:
-        nb &= ~g.adj[v]
-    n_size = nb.bit_count()
-    average = n_size / t if t else 0.0
+    non_neighbors = frozenset(common_non_neighbors(g, s_vertices))
+    nb = bits_of(non_neighbors)
+    average = len(non_neighbors) / t if t else 0.0
 
     ranked = sorted(
         (
@@ -166,7 +141,7 @@ def select_useful_class(
             return Selection(
                 class_color=color,
                 s_vertices=tuple(s_vertices),
-                non_neighbors=frozenset(iter_bits(nb)),
+                non_neighbors=non_neighbors,
                 overlap=overlap,
                 average=average,
                 class_count=t,
@@ -233,9 +208,7 @@ def pseudo_partition(
     vertices of B_i+ \\ Γ(u_i). Raises PartitionError with per-condition
     failure counts when max_attempts rounds all fail.
     """
-    wb = bits_of(w)
-    if wb & ~g.all_bits:
-        raise ValueError("w contains ids outside [1, n]")
+    wb = g.bits(w)
     members = sorted(iter_bits(wb))
     size = len(members)
     m = sch.m
@@ -373,7 +346,7 @@ def classify_and_count(
     sets inside its neighborhood: C(deg_A(v), k-m) * prod_i deg_{B_i}(v).
     This is the union-bound pair count the analytic Lambda ratio bounds.
     """
-    wb = bits_of(w)
+    wb = g.bits(w)
     ab = bits_of(pw.a_set)
     bbs = [bits_of(bs) for bs in pw.b_sets]
     lb = bits_of(pw.l_set)
@@ -466,7 +439,7 @@ def check_density_events(
     Sets smaller than ell_0/log^2(n) are flagged not-applicable but counted
     anyway.
     """
-    wb = bits_of(w)
+    wb = g.bits(w)
     ub = bits_of(u)
     if ub & ~wb:
         raise ValueError("u must be a subset of w")

@@ -39,7 +39,6 @@ __all__ = [
     "ParamSchedule",
     "make_schedule",
     "build_schedule",
-    "refined_delta",
     "class_count",
     "LambdaReport",
     "lambda_report",
@@ -164,13 +163,17 @@ class ParamSchedule:
             for lo in (reversed(starts) if reverse else starts)
         )
 
-    @property
-    def s_degenerate(self) -> bool:
-        return self.s < 1
+    def ell1(self, size: int) -> float:
+        """The non-neighbor threshold ell_1(W) for a set W of `size` vertices;
+        ell1(0) is ell0."""
+        return _ell1(self.n, self.p, self.delta, self.s, self.tau, size)
 
-    @property
-    def tau_degenerate(self) -> bool:
-        return not self.tau < 1.0
+
+def _ell1(n: float, p: float, delta: float, s: int, tau: float, size: int) -> float:
+    """ell_1 = max((1-tau) n^(1-delta)/s, size - 2np). A degenerate tau (>= 1)
+    drops the first branch; a degenerate s (< 1) counts as 1."""
+    first = (1.0 - tau) * n ** (1.0 - delta) / max(s, 1) if tau < 1.0 else -math.inf
+    return max(first, size - 2.0 * n * p)
 
 
 def make_schedule(
@@ -197,10 +200,6 @@ def make_schedule(
     zeta = 1.0 / ln_n**4
     s = class_count(n, p, delta)
     tau = _tau(n, p, delta)
-    s_eff = max(s, 1)
-    # ell_0 = ell_1(emptyset): second branch of the max is -2np < 0.
-    first = (1.0 - tau) * n ** (1.0 - delta) / s_eff if tau < 1.0 else -math.inf
-    ell0 = max(first, -2.0 * n * p)
     return ParamSchedule(
         n=float(n),
         p=float(p),
@@ -212,7 +211,7 @@ def make_schedule(
         m=int(m),
         k=int(k),
         tau=tau,
-        ell0=ell0,
+        ell0=_ell1(n, p, delta, s, tau, 0),
         delta_clamped=delta_clamped,
         delta_raw=delta if delta_raw is None else delta_raw,
     )
@@ -260,16 +259,6 @@ def build_schedule(n: float, p: float, epsilon: float = SIGMA / 2.0) -> ParamSch
         delta_clamped=clamped,
         delta_raw=delta_raw,
     )
-
-
-def refined_delta(n: float, epsilon: float) -> float:
-    """Sharper delta for the very sparse regime p = n^(-2/5 + epsilon):
-    min(1 - 5 rho/2, rho) - 9 loglog(n)/log(n), with rho = 2/5 - epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    rho = 0.4 - epsilon
-    ln_n = math.log(n)
-    return min(1.0 - 2.5 * rho, rho) - 9.0 * math.log(ln_n) / ln_n
 
 
 # -- Lambda / Pi calculus -------------------------------------------------------

@@ -45,14 +45,12 @@ __all__ = [
     "RepairResult",
     "repair",
     "run",
-    "variant_a_palette_cap",
 ]
 
 
 @dataclass(frozen=True)
 class GreedyPhase:
     assignment: tuple[int, ...]  # 0 = still uncolored; index = vertex - 1
-    s_vertices: tuple[int, ...]
     leftover: tuple[int, ...]  # N, ascending
 
 
@@ -73,7 +71,6 @@ def greedy_phase(g: Graph, s: int) -> GreedyPhase:
     uncolored &= ~s_bits
     return GreedyPhase(
         assignment=tuple(assignment[1:]),
-        s_vertices=tuple(range(1, s + 1)),
         leftover=tuple(iter_bits(uncolored)),
     )
 
@@ -108,13 +105,6 @@ def _variant_a_delta(n: int, p: float) -> tuple[float, float, bool]:
     if 0.0 < raw < 1.0:
         return raw, raw, False
     return 0.5, raw, True
-
-
-def variant_a_palette_cap(n: int, p: float) -> int:
-    """Structural bound s + z + 1 for variant A at this (n, p)."""
-    delta, _, _ = _variant_a_delta(n, p)
-    s = min(max(class_count(n, p, delta), 0), n)
-    return s + math.ceil(4.0 / p) + 1
 
 
 def _leftover_window_ok(n: int, delta: float, leftover: int) -> bool:

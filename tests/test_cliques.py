@@ -9,8 +9,9 @@ from cliquechrom.cliques import (
     extend_to_maximal,
     find_clique_dominating_outside,
     is_maximal_clique,
+    maximal_cliques_within,
 )
-from cliquechrom.graph import Graph, sample_gnp
+from cliquechrom.graph import Graph, iter_bits, sample_gnp
 
 from oracles import brute_maximal_cliques
 
@@ -49,6 +50,29 @@ class TestEnumeration:
             assert len(cliques) == len(set(cliques))
             for k in cliques:
                 assert is_maximal_clique(g, k)
+
+
+class TestNetworkxCrossCheck:
+    """Both enumerations against networkx's independent `find_cliques`. At
+    p = 0.7 only n = 50 is checked: G(100, 0.7) already has about 4*10^5
+    maximal cliques, and G(200, 0.7) far more."""
+
+    CELLS = [(n, p) for n in (50, 100, 200) for p in (0.1, 0.3)] + [(50, 0.7)]
+
+    @pytest.mark.parametrize("n,p", CELLS)
+    def test_matches_find_cliques(self, n, p):
+        nx = pytest.importorskip("networkx")
+        g = sample_gnp(n, p, seed=n + round(100 * p))
+        ng = nx.Graph()
+        ng.add_nodes_from(range(1, n + 1))
+        ng.add_edges_from(g.edges())
+        theirs = {frozenset(k) for k in nx.find_cliques(ng)}
+        assert set(enumerate_maximal_cliques(g)) == theirs
+
+        rng = random.Random(n * p)
+        w = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        within = {frozenset(iter_bits(kb)) for kb in maximal_cliques_within(g, g.bits(w))}
+        assert within == {k for k in theirs if k <= w}
 
 
 class TestMaximality:

@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquechrom.coloring import (
     BudgetExceeded,
@@ -15,7 +16,7 @@ from cliquechrom.coloring import (
     read_coloring,
     write_coloring,
 )
-from cliquechrom.graph import Graph, sample_gnp
+from cliquechrom.graph import Graph, iter_bits, sample_gnp
 
 from oracles import brute_clique_chromatic, brute_is_valid, brute_monochromatic_maximal
 
@@ -136,6 +137,19 @@ class TestColoringIO:
         buf.seek(0)
         assert read_coloring(buf) == c
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        colors=st.lists(st.integers(min_value=0, max_value=50), max_size=39).flatmap(
+            lambda rest: st.permutations([0, *rest])  # colour 0 is a legal id
+        )
+    )
+    def test_roundtrip_property(self, colors):
+        c = Coloring(tuple(colors))
+        buf = io.StringIO()
+        write_coloring(c, buf)
+        buf.seek(0)
+        assert read_coloring(buf, c.n) == c
+
     def test_rejects_double_assignment(self):
         with pytest.raises(ValueError):
             read_coloring(io.StringIO("1 1\n1 2\n"))
@@ -147,4 +161,4 @@ class TestColoringIO:
     def test_palette_and_classes(self):
         c = Coloring((1, 2, 1))
         assert c.palette_size == 2
-        assert c.classes() == {1: {1, 3}, 2: {2}}
+        assert {col: set(iter_bits(bits)) for col, bits in c.class_bits().items()} == {1: {1, 3}, 2: {2}}

@@ -2,14 +2,17 @@
 
 import io
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cliquechrom
 from cliquechrom.graph import (
     Graph,
     common_non_neighbors,
-    degree_stats,
     read_edge_list,
     sample_gnp,
     write_edge_list,
@@ -81,7 +84,7 @@ class TestSampling:
         # fast version of the 2np degree-cap proxy; the acceptance suite
         # runs the full 200-sample check at n = 2000
         hits = sum(
-            degree_stats(sample_gnp(500, 0.05, seed=s)).max_degree <= 2 * 500 * 0.05
+            max(row.bit_count() for row in sample_gnp(500, 0.05, seed=s).adj) <= 2 * 500 * 0.05
             for s in range(30)
         )
         assert hits >= 29
@@ -104,19 +107,6 @@ class TestCommonNonNeighbors:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             common_non_neighbors(path3(), {9})
-
-
-class TestDegreeStats:
-    def test_cycle_codegree(self):
-        c4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        assert degree_stats(c4).codegree(1, 3) == 2
-
-    def test_complete_degrees(self):
-        stats = degree_stats(complete(5))
-        assert stats.degrees == (4, 4, 4, 4, 4)
-
-    def test_edgeless_max_degree(self):
-        assert degree_stats(Graph.from_edges(6, [])).max_degree == 0
 
 
 class TestEdgeListFormat:
@@ -142,6 +132,35 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             read_edge_list(io.StringIO(text))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_roundtrip_property(self, n, p, seed):
+        g = sample_gnp(n, p, seed) if n else Graph(0, [0])
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        buf.seek(0)
+        assert read_edge_list(buf) == g
+
+    def test_huge_edgeless_header_reads_in_linear_time(self, tmp_path):
+        # A quadratic validation pass would take minutes at n = 10^6.
+        path = tmp_path / "huge.edges"
+        path.write_text("1000000 0\n")
+        script = (
+            "import sys; from cliquechrom.graph import read_edge_list; "
+            "print(read_edge_list(open(sys.argv[1])).n)"
+        )
+        src = str(Path(cliquechrom.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src, "PATH": ""},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1000000\n"
+
 
 class TestGraphBasics:
     def test_induced_relabels(self):
@@ -155,3 +174,26 @@ class TestGraphBasics:
             Graph(2, [0, 0b100, 0])  # asymmetric
         with pytest.raises(ValueError):
             Graph(2, [0, 0b010, 0])  # self loop
+
+    @pytest.mark.parametrize(
+        "adj, message",
+        [
+            ([0, 0b0001, 0, 0], "outside"),  # bit 0
+            ([0, 0b10000, 0, 0], "outside"),  # bit n + 1
+            ([0, -0b0100, 0b0010, 0], "outside"),  # negative row
+            ([0, 0, 0b0100, 0], "self-loop"),
+            ([0, 0b0100, 0, 0], "asymmetric"),
+        ],
+    )
+    def test_constructor_rejects_bad_rows(self, adj, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, adj)
+
+    def test_bits_packs_in_range_ids(self):
+        assert path3().bits([1, 3]) == 0b1010
+        assert path3().bits([]) == 0
+
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_bits_rejects_out_of_range_ids(self, bad):
+        with pytest.raises(ValueError):
+            path3().bits([1, bad])

@@ -132,6 +132,10 @@ class TestSweepControl:
         with pytest.raises(ValueError, match="workers"):
             run_sweep(tiny_config(), workers=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_procedures_gives_no_records(self, workers):
+        assert run_sweep(tiny_config(procedures=()), workers=workers).records == ()
+
     def test_pool_size_is_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         assert harness._pool_size(64, 100) == 4

@@ -5,15 +5,14 @@ import random
 
 import pytest
 
-from cliquechrom.cliques import is_maximal_clique
+from cliquechrom.cliques import find_clique_dominating_outside, is_maximal_clique
 from cliquechrom.coloring import Coloring, monochromatic_maximal_cliques
-from cliquechrom.graph import Graph, sample_gnp
+from cliquechrom.graph import Graph, common_non_neighbors, sample_gnp
 from cliquechrom.lowerbound import (
     PartitionError,
     certify,
     check_density_events,
     classify_and_count,
-    ell1,
     enumerate_candidates,
     is_useful,
     pseudo_partition,
@@ -32,7 +31,7 @@ class TestEll1:
         # tau degenerates here, so the max is decided by |W| - 2np = 5000
         sch = make_schedule(1e4, 0.2, delta=0.5, m=1, k=3, epsilon=0.005)
         assert sch.s == 20
-        assert ell1(range(1, 9001), sch) == 5000.0
+        assert sch.ell1(9000) == 5000.0
 
     def test_small_w_takes_first_branch(self):
         sch = make_schedule(1e6, 0.2, delta=0.25, m=1, k=3, epsilon=0.005)
@@ -40,11 +39,38 @@ class TestEll1:
         # |W| <= 2np makes the second branch nonpositive
         w = range(1, 101)
         expected = (1.0 - sch.tau) * 1e6**0.75 / sch.s
-        assert ell1(w, sch) == pytest.approx(expected, rel=1e-12)
+        assert sch.ell1(len(w)) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_set_is_ell0(self):
         sch = build_schedule(1000, 0.2)
-        assert ell1((), sch) == sch.ell0
+        assert sch.ell1(0) == sch.ell0
+
+
+class TestVertexIds:
+    """Every entry point that takes a vertex set rejects ids outside [1, n]
+    rather than counting them as vertices."""
+
+    N = 60
+    W = list(range(1, 31))
+    ENTRY_POINTS = {
+        "is_useful": lambda g, sch, pw, w: is_useful(g, w, sch),
+        "pseudo_partition": lambda g, sch, pw, w: pseudo_partition(g, w, sch, seed=1, relax=0.5),
+        "find_clique_dominating_outside": lambda g, sch, pw, w: find_clique_dominating_outside(g, w),
+        "common_non_neighbors": lambda g, sch, pw, w: common_non_neighbors(g, w),
+        "check_density_events": lambda g, sch, pw, w: check_density_events(g, w, w[:10] + w[-1:], sch),
+        "classify_and_count": lambda g, sch, pw, w: classify_and_count(g, w, pw, sch),
+    }
+
+    @pytest.mark.parametrize("bad", [0, N + 1])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_out_of_range_id_raises(self, entry, bad):
+        g = sample_gnp(self.N, 0.3, seed=6)
+        sch = build_schedule(self.N, 0.3)
+        pw = pseudo_partition(g, self.W, sch, seed=1, relax=0.5)
+        call = self.ENTRY_POINTS[entry]
+        call(g, sch, pw, self.W)  # in-range ids are accepted
+        with pytest.raises(ValueError):
+            call(g, sch, pw, self.W + [bad])
 
 
 class TestIsUseful:
@@ -66,7 +92,7 @@ class TestIsUseful:
             sch = build_schedule(n, 0.3)
             w = {v for v in range(1, n + 1) if rng.random() < 0.5}
             relax = rng.choice([None, 0.3, 0.6])
-            need = relax * len(w) if relax else ell1(w, sch)
+            need = relax * len(w) if relax else sch.ell1(len(w))
             outside = set(range(1, n + 1)) - w
             direct = len(outside) >= max(sch.s - 1, 1) and all(
                 sum(1 for u in w if not g.has_edge(v, u)) >= need for v in outside
@@ -104,7 +130,7 @@ class TestSelection:
                 continue
             assert sel.overlap >= len(sel.non_neighbors) / sel.class_count
             # the chosen class is in fact useful under the same relaxation
-            members = coloring.classes()[sel.class_color]
+            members = {v for v in range(1, n + 1) if coloring.color_of(v) == sel.class_color}
             assert is_useful(g, members, sch, relax=0.2)
 
 

@@ -17,7 +17,6 @@ from cliquechrom.params import (
     make_schedule,
     phi,
     predicted_bounds,
-    refined_delta,
 )
 
 
@@ -105,29 +104,12 @@ class TestBuildSchedule:
 
 
 class TestRefinedDelta:
-    def test_min_term_is_5eps_over_2(self):
-        # rho = 2/5 - eps makes 1 - 5 rho/2 collapse to 5 eps/2
-        eps = 0.02
-        n = math.exp(math.exp(3.0))
-        got = refined_delta(n, eps)
-        assert got == pytest.approx(5 * eps / 2 - 9 * 3.0 / math.exp(3.0), rel=1e-12)
-
-    def test_correction_term(self):
-        # at n = e^(e^3) the correction is exactly 27/e^3
-        n = math.exp(math.exp(3.0))
-        base = refined_delta(n, 0.02) - (min(1 - 2.5 * 0.38, 0.38) - 9 * 3.0 / math.exp(3.0))
-        assert abs(base) < 1e-12
-
     def test_matches_very_sparse_prediction(self):
         # with p = n^(-2/5+eps), eps*log(n) equals log(n^(2/5) p)
         n, eps = 1e8, 0.03
         p = n ** (-0.4 + eps)
         pred = {b.label: b.value for b in predicted_bounds(n, p)}
         assert pred["very_sparse_5_2"] == pytest.approx(2.5 * eps * math.log(n) / p, rel=1e-9)
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            refined_delta(1e6, 0.0)
 
 
 class TestLambdaCalculus:

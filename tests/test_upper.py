@@ -10,13 +10,13 @@ from cliquechrom import upper
 from cliquechrom.cliques import maximal_cliques_within
 from cliquechrom.coloring import Coloring, is_valid_clique_coloring, monochromatic_maximal_cliques
 from cliquechrom.graph import Graph, sample_gnp
+from cliquechrom.params import class_count
 from cliquechrom.upper import (
     greedy_phase,
     procedure_A,
     procedure_B,
     repair,
     run,
-    variant_a_palette_cap,
 )
 
 from oracles import brute_is_valid, brute_monochromatic_maximal
@@ -62,7 +62,9 @@ class TestProcedureA:
             g = sample_gnp(n, p, seed=rng.randrange(2**32))
             coloring, rep = procedure_A(g, p)
             assert rep.palette <= rep.palette_cap == rep.s + rep.z + 1
-            assert rep.palette_cap == variant_a_palette_cap(n, p)
+            delta, _, _ = upper._variant_a_delta(n, p)
+            s = min(max(class_count(n, p, delta), 0), n)
+            assert rep.palette_cap == s + math.ceil(4.0 / p) + 1
 
     def test_z_at_p_fifth(self):
         _, rep = procedure_A(sample_gnp(100, 0.2, seed=1), 0.2)
