@@ -46,6 +46,14 @@ EXIT_INVALID = 1
 EXIT_BUDGET = 2
 
 
+def _edge_probability(args) -> float:
+    """The edge probability p: --p for a sampled graph, --assume-p with --graph."""
+    p = args.p if args.p is not None else args.assume_p
+    if p is None:
+        raise SystemExit("--p (or --assume-p with --graph) is required")
+    return p
+
+
 def _load_graph(args) -> Graph:
     if args.graph:
         with open(args.graph) as fh:
@@ -63,9 +71,7 @@ def _graph_source_args(sub, seed_default=0):
 
 
 def _emit(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(
-        _finite(doc), indent=2, sort_keys=True, allow_nan=False, default=_json_default
-    ) + "\n"
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -82,12 +88,6 @@ def _finite(obj):
     if isinstance(obj, (list, tuple)):
         return [_finite(value) for value in obj]
     return obj
-
-
-def _json_default(obj):
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def cmd_gen(args) -> int:
@@ -129,10 +129,7 @@ def cmd_validate(args) -> int:
 
 def cmd_color(args) -> int:
     g = _load_graph(args)
-    p = args.p if args.p is not None else args.assume_p
-    if p is None:
-        raise SystemExit("--p (or --assume-p with --graph) is required")
-    report, fixed = run(g, p, args.variant, args.epsilon, args.repair_budget)
+    report, fixed = run(g, _edge_probability(args), args.variant, args.epsilon, args.repair_budget)
     doc = asdict(report)
     doc["repair"] = fixed.to_dict()
     doc["palette_final"] = fixed.coloring.palette_size
@@ -148,10 +145,7 @@ def cmd_certify(args) -> int:
     g = _load_graph(args)
     with open(args.coloring) as fh:
         coloring = read_coloring(fh, n=g.n)
-    p = args.p if args.p is not None else args.assume_p
-    if p is None:
-        raise SystemExit("--p (or --assume-p with --graph) is required")
-    sch = build_schedule(g.n, p, epsilon=args.epsilon)
+    sch = build_schedule(g.n, _edge_probability(args), epsilon=args.epsilon)
     report = certify(g, coloring, sch, seed=args.seed, budget=args.budget, relax=args.relax)
     _emit(report.to_dict(), args.report)
     return EXIT_OK
@@ -233,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("chromatic", help="exact clique chromatic number")
     _graph_source_args(sub)
-    sub.add_argument("--budget", type=int, default=20_000_000, help="search node budget")
+    sub.add_argument("--budget", type=int, default=20_000_000, help="clique and search-node budget")
     sub.add_argument("--out", help="write the witness coloring here")
     sub.set_defaults(func=cmd_chromatic)
 
     sub = subs.add_parser("validate", help="exit 0 iff the coloring is valid")
     _graph_source_args(sub)
     sub.add_argument("--coloring", required=True, help="'vertex color' lines")
-    sub.add_argument("--limit", type=int, default=10, help="offending cliques to list")
+    sub.add_argument("--limit", type=int, default=10, help="offending cliques to list (>= 1)")
     sub.add_argument("--report", help="write the JSON report here")
     sub.set_defaults(func=cmd_validate)
 

@@ -56,30 +56,20 @@ def _bron_kerbosch(adj: list[int], r: int, p: int, x: int) -> Iterator[int]:
         x |= low
 
 
-def enumerate_maximal_cliques(g: Graph, limit: Optional[int] = None) -> Iterator[frozenset[int]]:
+def enumerate_maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
     """All inclusion-maximal cliques of g, as frozensets of vertex ids.
 
     Isolated vertices are emitted as size-1 maximal cliques (callers that
-    care about clique-coloring validity ignore those). Stops after `limit`
-    cliques if given.
+    care about clique-coloring validity ignore those).
     """
-    count = 0
-    for kb in _bron_kerbosch(g.adj, 0, g.all_bits, 0):
+    for kb in maximal_cliques_within(g, g.all_bits):
         yield frozenset(iter_bits(kb))
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
-def maximal_cliques_within(g: Graph, members: int, limit: Optional[int] = None) -> Iterator[int]:
+def maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
     """Bitsets of the cliques that are maximal in g and contained in the
     vertex bitset `members`."""
-    count = 0
-    for kb in _bron_kerbosch(g.adj, 0, members, g.all_bits & ~members):
-        yield kb
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    return _bron_kerbosch(g.adj, 0, members, g.all_bits & ~members)
 
 
 def is_clique(g: Graph, k: Iterable[int]) -> bool:

@@ -10,14 +10,17 @@ makes the returned witness the lexicographically least valid assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, TextIO
+from itertools import islice
+from typing import Iterator, Mapping, Optional, TextIO
 
-from .cliques import enumerate_maximal_cliques, maximal_cliques_within
-from .graph import Graph, bits_of, iter_bits
+from .cliques import maximal_cliques_within
+from .graph import Graph, iter_bits
 
 __all__ = [
     "Coloring",
     "BudgetExceeded",
+    "color_classes",
+    "offending_cliques",
     "monochromatic_maximal_cliques",
     "is_valid_clique_coloring",
     "exact_clique_chromatic_number",
@@ -28,10 +31,10 @@ __all__ = [
 
 
 class BudgetExceeded(Exception):
-    """Exact search ran out of its node budget before finishing."""
+    """The exact solver ran out of its budget; `nodes` counts the `unit` spent."""
 
-    def __init__(self, nodes: int):
-        super().__init__(f"search budget exhausted after {nodes} nodes")
+    def __init__(self, nodes: int, unit: str = "nodes"):
+        super().__init__(f"search budget exhausted after {nodes} {unit}")
         self.nodes = nodes
 
 
@@ -65,27 +68,39 @@ class Coloring:
         return out
 
 
-def _require_total(g: Graph, c: Coloring) -> None:
+def color_classes(g: Graph, c: Coloring) -> list[tuple[int, int]]:
+    """(color, member bitset) of each class of c, in ascending color order.
+
+    Rejects colorings that do not cover exactly the vertices of g.
+    """
     if c.n != g.n:
         raise ValueError(f"coloring covers {c.n} vertices, graph has {g.n}")
+    return sorted(c.class_bits().items())
+
+
+def offending_cliques(g: Graph, members: int) -> Iterator[int]:
+    """Bitsets of the maximal cliques of g of size >= 2 inside the vertex bitset
+    `members`, which a color class equal to `members` leaves monochromatic."""
+    return (kb for kb in maximal_cliques_within(g, members) if kb.bit_count() >= 2)
 
 
 def monochromatic_maximal_cliques(
     g: Graph, c: Coloring, limit: Optional[int] = None
 ) -> list[frozenset[int]]:
-    """Inclusion-maximal cliques of size >= 2 whose vertices share one color.
+    """Inclusion-maximal cliques of size >= 2 whose vertices share one color,
+    at most `limit` of them (which must be at least 1) when it is given.
 
     Empty result <=> c is a valid clique coloring. Rejects colorings that do
     not cover every vertex.
     """
-    _require_total(g, c)
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     out: list[frozenset[int]] = []
-    for _color, members in sorted(c.class_bits().items()):
-        for kb in maximal_cliques_within(g, members):
-            if kb.bit_count() >= 2:
-                out.append(frozenset(iter_bits(kb)))
-                if limit is not None and len(out) >= limit:
-                    return out
+    for _color, members in color_classes(g, c):
+        for kb in offending_cliques(g, members):
+            out.append(frozenset(iter_bits(kb)))
+            if len(out) == limit:
+                return out
     return out
 
 
@@ -163,12 +178,15 @@ def exact_clique_chromatic_number(
 ) -> tuple[int, Coloring]:
     """Exact clique chromatic number with a witness coloring.
 
-    Enumerates the maximal cliques of size >= 2 once, then backtracks.
-    Intended for n up to roughly 30; raises BudgetExceeded rather than
-    returning a wrong number when the budget runs out. The edgeless graph
-    has value 1 (0 when there are no vertices at all).
+    Lists the maximal cliques of size >= 2 once, then backtracks. `budget`
+    bounds both steps: more than `budget` such cliques, or more than
+    `budget` search nodes, raise BudgetExceeded rather than returning a
+    wrong number. Intended for n up to roughly 30. The edgeless graph has
+    value 1 (0 when there are no vertices at all).
     """
-    cliques = [bits_of(k) for k in enumerate_maximal_cliques(g) if len(k) >= 2]
+    cliques = list(islice(offending_cliques(g, g.all_bits), max(budget, 0) + 1))
+    if len(cliques) > budget:
+        raise BudgetExceeded(len(cliques), "maximal cliques")
     return _solve_hypergraph_coloring(g.n, cliques, budget)
 
 

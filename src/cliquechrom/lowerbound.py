@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .cliques import extend_to_maximal, find_clique_dominating_outside, is_maximal_clique
-from .coloring import Coloring
+from .coloring import Coloring, color_classes
 from .graph import Graph, bits_of, common_non_neighbors, iter_bits
 from .params import ParamSchedule, lambda_report
 
@@ -60,16 +60,25 @@ def is_useful(
 ) -> bool:
     """True iff |V \\ W| >= max(s-1, 1) and every outside vertex has at least
     ell_1(W) non-neighbors in W (relax*|W| instead when relax is given)."""
-    wb = g.bits(w)
-    outside = g.all_bits & ~wb
-    if outside.bit_count() < max(sch.s - 1, 1):
+    return _useful(g, g.bits(w), sch, relax)
+
+
+def _useful(g: Graph, wb: int, sch: ParamSchedule, relax: Optional[float]) -> bool:
+    if (g.all_bits & ~wb).bit_count() < max(sch.s - 1, 1):
         return False
-    size = wb.bit_count()
-    need = _threshold(size, sch, relax)
-    for v in iter_bits(outside):
-        if size - (g.adj[v] & wb).bit_count() < need:
-            return False
-    return True
+    need = _threshold(wb.bit_count(), sch, relax)
+    return _fewest_non_neighbors(g, wb)[1] >= need
+
+
+def _fewest_non_neighbors(g: Graph, wb: int) -> tuple[Optional[int], int]:
+    """The vertex outside the bitset wb with the fewest non-neighbors in wb
+    (ties: smallest id) and that count; None when no vertex lies outside."""
+    best_v, most = None, -1
+    for v in iter_bits(g.all_bits & ~wb):
+        common = (g.adj[v] & wb).bit_count()
+        if common > most:
+            best_v, most = v, common
+    return best_v, wb.bit_count() - most
 
 
 # -- Useful-class selection ------------------------------------------------------
@@ -106,38 +115,23 @@ def select_useful_class(
     (the averaging bound still holds with the actual class count); the
     evidence records `class_count_ok=False` in that case.
     """
-    if c.n != g.n:
-        raise ValueError("coloring does not cover the graph")
-    class_bits = dict(sorted(c.class_bits().items()))
-    t = len(class_bits)
-
-    s_vertices: list[int] = []
-    for _color, wb in class_bits.items():
-        outside = g.all_bits & ~wb
-        size = wb.bit_count()
-        best_v, best_nonnbrs = None, None
-        for v in iter_bits(outside):
-            nonnbrs = size - (g.adj[v] & wb).bit_count()
-            if best_nonnbrs is None or nonnbrs < best_nonnbrs:
-                best_v, best_nonnbrs = v, nonnbrs
-        if best_v is not None:
-            s_vertices.append(best_v)
+    classes = color_classes(g, c)
+    t = len(classes)
+    picks = (_fewest_non_neighbors(g, wb)[0] for _color, wb in classes)
+    s_vertices = [v for v in picks if v is not None]
 
     non_neighbors = frozenset(common_non_neighbors(g, s_vertices))
     nb = bits_of(non_neighbors)
     average = len(non_neighbors) / t if t else 0.0
 
     ranked = sorted(
-        (
-            (color, wb, (wb & nb).bit_count())
-            for color, wb in class_bits.items()
-        ),
+        ((color, wb, (wb & nb).bit_count()) for color, wb in classes),
         key=lambda item: (-item[2], item[0]),
     )
     for color, wb, overlap in ranked:
         if overlap < average:
             break
-        if is_useful(g, iter_bits(wb), sch, relax):
+        if _useful(g, wb, sch, relax):
             return Selection(
                 class_color=color,
                 s_vertices=tuple(s_vertices),
@@ -542,11 +536,9 @@ def certify(
     first few classes, largest first). Not finding anything within budget is
     a legitimate outcome, reported as found=False.
     """
-    if c.n != g.n:
-        raise ValueError("coloring does not cover the graph")
+    class_bits = dict(color_classes(g, c))
     rng = random.Random(seed)
     selection = select_useful_class(g, c, sch, relax)
-    class_bits = dict(sorted(c.class_bits().items()))
     if selection is not None:
         order = [selection.class_color] + [
             color for color in class_bits if color != selection.class_color
@@ -559,8 +551,8 @@ def certify(
             )
         ]
 
-    tested = 0
-    attempts_total = 0
+    tested = attempts_total = 0
+    clique = method = None
     for rank, color in enumerate(order):
         wb = class_bits[color]
         outside = g.all_bits & ~wb
@@ -579,26 +571,32 @@ def certify(
                 )
                 tested += used
                 if hit is not None:
-                    return _report(g, c, hit, color, "sampled", tested, relax, selection, attempts_total)
+                    clique, method = hit, "sampled"
+                    break
 
         # Fallback: budgeted dominating-clique search.
         if rank < _FALLBACK_CLASSES:
-            found = find_clique_dominating_outside(
+            dominating = find_clique_dominating_outside(
                 g, iter_bits(wb), k_max=max(sch.k, 6), restarts=1000, seed=seed + rank
             )
-            if found is not None and len(found) >= 2:
-                return _report(g, c, found, color, "dominating", tested, relax, selection, attempts_total)
+            if dominating is not None and len(dominating) >= 2:
+                clique, method = dominating, "dominating"
+                break
 
+    found = clique is not None
     return CertifyReport(
-        found=False,
-        clique=None,
-        class_color=None,
-        method=None,
+        found=found,
+        clique=clique,
+        class_color=color if found else None,
+        method=method,
         candidates_tested=tested,
         relax=relax,
         selection=selection,
         partition_attempts=attempts_total,
-        validated=False,
+        validated=found
+        and len(clique) >= 2
+        and len({c.color_of(v) for v in clique}) == 1
+        and is_maximal_clique(g, clique),
     )
 
 
@@ -615,7 +613,6 @@ def _sample_candidates(
     b_lists = [sorted(bs) for bs in pw.b_sets]
     if km < 0 or len(a_list) < km or any(not bl for bl in b_lists):
         return None, 0
-    wb = bits_of(pw.w)
     for used in range(1, budget + 1):
         picks = rng.sample(a_list, km) + [rng.choice(bl) for bl in b_lists]
         kb = bits_of(picks)
@@ -636,32 +633,3 @@ def _sample_candidates(
         grown = extend_to_maximal(g, picks, forbidden=iter_bits(outside))
         return grown, used
     return None, budget
-
-
-def _report(
-    g: Graph,
-    c: Coloring,
-    clique: frozenset[int],
-    color: int,
-    method: str,
-    tested: int,
-    relax: Optional[float],
-    selection: Optional[Selection],
-    attempts: int,
-) -> CertifyReport:
-    validated = (
-        len(clique) >= 2
-        and len({c.color_of(v) for v in clique}) == 1
-        and is_maximal_clique(g, clique)
-    )
-    return CertifyReport(
-        found=True,
-        clique=clique,
-        class_color=color,
-        method=method,
-        candidates_tested=tested,
-        relax=relax,
-        selection=selection,
-        partition_attempts=attempts,
-        validated=validated,
-    )

@@ -39,6 +39,7 @@ __all__ = [
     "ParamSchedule",
     "make_schedule",
     "build_schedule",
+    "clamp_delta",
     "class_count",
     "LambdaReport",
     "lambda_report",
@@ -217,7 +218,18 @@ def make_schedule(
     )
 
 
-_DELTA_CLAMP = (0.01, 0.99)
+def _dense(n: float, p: float) -> bool:
+    """The dense case p >= n^(-sigma). It compares p against n^-sigma
+    directly: deciding via the recomputed rho flips boundary cases through
+    float rounding."""
+    return p >= n**-SIGMA
+
+
+def clamp_delta(raw: float) -> tuple[float, bool]:
+    """(delta, clamped): a delta outside (0, 1) is clamped to [0.01, 0.99]."""
+    if 0.0 < raw < 1.0:
+        return raw, False
+    return min(max(raw, 0.01), 0.99), True
 
 
 def build_schedule(n: float, p: float, epsilon: float = SIGMA / 2.0) -> ParamSchedule:
@@ -236,9 +248,7 @@ def build_schedule(n: float, p: float, epsilon: float = SIGMA / 2.0) -> ParamSch
         raise ValueError("n must be >= 3")
     ln_n = math.log(n)
     rho = math.log(1.0 / p) / ln_n
-    # The case split compares p against n^-sigma directly; deciding via the
-    # recomputed rho flips boundary cases through float rounding.
-    if p >= n**-SIGMA:
+    if _dense(n, p):
         m = math.floor(2.0 / (3.0 * rho))
         k = math.ceil(1.0 / rho + 0.5)
         delta_raw = 0.5 - 3.0 * rho - 9.0 * math.log(ln_n) / ln_n
@@ -247,8 +257,7 @@ def build_schedule(n: float, p: float, epsilon: float = SIGMA / 2.0) -> ParamSch
         half = 0.5 if rho <= 4.0 / 15.0 else 0.0
         k = math.ceil(1.0 / rho + half)
         delta_raw = min(epsilon, SIGMA / 2.0)
-    clamped = not (0.0 < delta_raw < 1.0)
-    delta = min(max(delta_raw, _DELTA_CLAMP[0]), _DELTA_CLAMP[1]) if clamped else delta_raw
+    delta, clamped = clamp_delta(delta_raw)
     return make_schedule(
         n,
         p,
@@ -465,7 +474,7 @@ def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> 
     values["s"] = float(sch.s)
 
     if m >= 2:
-        flags["case_p_large"] = p >= n**-sch.sigma
+        flags["case_p_large"] = _dense(n, p)
         formula = 0.5 - 3.0 * sch.rho - 9.0 * lnln_n / ln_n
         flags["delta_formula"] = sch.delta == formula
         values["delta_formula"] = formula
@@ -478,7 +487,7 @@ def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> 
         else:
             flags["density_alpha"] = False
     else:
-        flags["case_p_small"] = p < n**-sch.sigma
+        flags["case_p_small"] = not _dense(n, p)
         formula = min(sch.epsilon, sch.sigma / 2.0)
         flags["delta_formula"] = sch.delta == formula
         values["delta_formula"] = formula
@@ -504,7 +513,7 @@ def predicted_bounds(n: float, p: float) -> list[Prediction]:
     rho = math.log(1.0 / p) / ln_n
     out = [
         Prediction("order_log_over_p", ln_n / p, n**-0.4 < p),
-        Prediction("sparse_half", 0.5 * ln_n / p, rho <= SIGMA),
+        Prediction("sparse_half", 0.5 * ln_n / p, _dense(n, p)),
         Prediction(
             "very_sparse_5_2",
             2.5 * (0.4 * ln_n + math.log(p)) / p,
@@ -523,7 +532,7 @@ def predicted_bounds(n: float, p: float) -> list[Prediction]:
         Prediction(
             "half_log_base",
             0.5 * ln_n / -math.log1p(-p),
-            rho <= SIGMA,
+            _dense(n, p),
         ),
     ]
     return out

@@ -20,9 +20,8 @@ vertex with a fresh color until the coloring is valid or a budget runs out.
 `run` is the whole color -> validate -> repair pipeline, shared by
 `cliquechrom color` and the sweep harness. Its report's `mono_pre_repair`
 is counted by repair's first Bron-Kerbosch pass over each color class, so
-each coloring is enumerated once. `procedure_A` and `procedure_B` return
-the unrepaired coloring and count `mono_pre_repair` with a repair pass
-that recolors nothing.
+each coloring is enumerated once. `procedure_A` and `procedure_B` are
+`run` with a repair budget of 0, so they return the unrepaired coloring.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .cliques import maximal_cliques_within
-from .coloring import Coloring
+from .coloring import Coloring, color_classes, offending_cliques
 from .graph import Graph, iter_bits
-from .params import class_count
+from .params import clamp_delta, class_count
 
 __all__ = [
     "GreedyPhase",
@@ -147,8 +145,7 @@ def _color(
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive (p must exceed n^(-2/5))")
         raw = 2.5 * epsilon
-        clamped = not (0.0 < raw < 1.0)
-        delta = min(max(raw, 0.01), 0.99) if clamped else raw
+        delta, clamped = clamp_delta(raw)
         z = math.ceil(8.0 / (p * math.sqrt(ln_n)))
     else:
         raise ValueError(f"unknown variant {variant!r} (expected 'A' or 'B')")
@@ -186,12 +183,6 @@ def _color(
     return coloring, fields
 
 
-def _counted(g: Graph, coloring: Coloring, fields: dict) -> tuple[Coloring, ProcedureReport]:
-    # At budget 0 `_repair` recolours nothing and counts every class in full.
-    mono = _repair(g, coloring, 0)[1]
-    return coloring, ProcedureReport(**fields, mono_pre_repair=mono)
-
-
 def procedure_A(g: Graph, p: float) -> tuple[Coloring, ProcedureReport]:
     """Greedy phase plus a z = ceil(4/p) way split of the leftover.
 
@@ -199,7 +190,8 @@ def procedure_A(g: Graph, p: float) -> tuple[Coloring, ProcedureReport]:
     the graph. The report carries the pre-repair monochromatic-clique count,
     so validity failures are visible, not silent.
     """
-    return _counted(g, *_color(g, p, "A"))
+    report, result = run(g, p, "A", repair_budget=0)
+    return result.coloring, report
 
 
 def procedure_B(
@@ -213,7 +205,8 @@ def procedure_B(
     too-large inner palette (cap_overflow in the report) can merge classes,
     which the repair loop cleans up afterwards.
     """
-    return _counted(g, *_color(g, p, "B", epsilon))
+    report, result = run(g, p, "B", epsilon, repair_budget=0)
+    return result.coloring, report
 
 
 @dataclass(frozen=True)
@@ -241,17 +234,15 @@ def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
     first offending clique; once the budget is spent, that pass and every
     later class are counted in full for remaining_mono.
     """
-    if c.n != g.n:
-        raise ValueError("coloring does not cover the graph")
     assignment = list(c.colors)
     fresh = max(assignment, default=0)
     recolored: list[int] = []
     found = remaining = 0
     exhausted = False
-    for _, members in sorted(c.class_bits().items()):
+    for _, members in color_classes(g, c):
         first_pass = True
         while True:
-            cliques = (kb for kb in maximal_cliques_within(g, members) if kb.bit_count() >= 2)
+            cliques = offending_cliques(g, members)
             kb = next(cliques, None)
             if kb is None:
                 break

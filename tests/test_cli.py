@@ -37,6 +37,15 @@ class TestGenAndChromatic:
         run(["gen", "--n", 12, "--p", 0.5, "--seed", 1, "--out", graph])
         assert run(["chromatic", "--graph", graph, "--budget", 3]) == 2
 
+    def test_chromatic_budget_bounds_the_clique_listing(self):
+        # G(200, 0.7) has far more than 1000 maximal cliques; listing them
+        # all would run for minutes before the search could count a node.
+        proc = TestOutOfMemory.run_capped(
+            ["chromatic", "--n", 200, "--p", 0.7, "--seed", 1, "--budget", 1000], timeout=30
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("budget exceeded: ") and "Traceback" not in proc.stderr
+
     def test_invalid_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("2 1\n1 1\n")
@@ -53,6 +62,15 @@ class TestValidate:
         bad.write_text("1 1\n2 1\n3 1\n")
         assert run(["validate", "--graph", graph, "--coloring", good]) == 0
         assert run(["validate", "--graph", graph, "--coloring", bad]) == 1
+
+    def test_limit_below_one_is_invalid_input(self, tmp_path, capsys):
+        # A shortened offender list must never make a coloring look valid.
+        graph = tmp_path / "g.edges"
+        graph.write_text("3 3\n1 2\n1 3\n2 3\n")
+        good = tmp_path / "good.colors"
+        good.write_text("1 1\n2 1\n3 2\n")
+        assert run(["validate", "--graph", graph, "--coloring", good, "--limit", 0]) == 1
+        assert capsys.readouterr().err.startswith("error: limit must be at least 1")
 
 
 class TestColor:
@@ -196,7 +214,7 @@ class TestOutOfMemory:
     large memory whatever the host's overcommit policy."""
 
     @staticmethod
-    def run_capped(args):
+    def run_capped(args, timeout=120):
         resource = pytest.importorskip("resource")
         limit = 2 * 1024**3
 
@@ -206,7 +224,7 @@ class TestOutOfMemory:
         src = str(Path(cliquechrom.__file__).resolve().parents[1])
         return subprocess.run(
             [sys.executable, "-m", "cliquechrom.cli", *map(str, args)],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap,
+            capture_output=True, text=True, timeout=timeout, preexec_fn=cap,
             env={"PYTHONPATH": src, "PATH": ""},
         )
 

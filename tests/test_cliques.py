@@ -32,10 +32,6 @@ class TestEnumeration:
         g = Graph.from_edges(3, [(1, 2)])
         assert frozenset({3}) in set(enumerate_maximal_cliques(g))
 
-    def test_limit(self):
-        g = Graph.from_edges(4, [(1, 2), (3, 4)])
-        assert len(list(enumerate_maximal_cliques(g, limit=1))) == 1
-
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(1)
         for _ in range(120):

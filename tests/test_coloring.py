@@ -1,4 +1,5 @@
-"""Clique-coloring validity and the exact solver."""
+"""Clique-coloring validity, the exact solver, and the wrong-length check
+that every consumer of a coloring shares."""
 
 import io
 import random
@@ -17,6 +18,9 @@ from cliquechrom.coloring import (
     write_coloring,
 )
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
+from cliquechrom.lowerbound import certify, select_useful_class
+from cliquechrom.params import build_schedule
+from cliquechrom.upper import repair
 
 from oracles import brute_clique_chromatic, brute_is_valid, brute_monochromatic_maximal
 
@@ -54,6 +58,12 @@ class TestValidity:
         g = Graph.from_edges(4, [(1, 2), (3, 4)])
         got = monochromatic_maximal_cliques(g, Coloring((1, 1, 1, 1)), limit=1)
         assert len(got) == 1
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_is_rejected(self, limit):
+        g = Graph.from_edges(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="limit"):
+            monochromatic_maximal_cliques(g, Coloring((1, 1, 1, 1)), limit=limit)
 
     def test_decision_matches_brute_force(self):
         rng = random.Random(11)
@@ -127,6 +137,29 @@ class TestExactSolver:
     def test_budget_exceeded_is_distinct(self):
         with pytest.raises(BudgetExceeded):
             exact_clique_chromatic_number(petersen(), budget=5)
+
+    def test_budget_bounds_the_clique_list_then_the_search(self):
+        # Petersen has 15 maximal cliques (its edges); the search needs 31 nodes.
+        with pytest.raises(BudgetExceeded, match="after 15 maximal cliques"):
+            exact_clique_chromatic_number(petersen(), budget=14)
+        with pytest.raises(BudgetExceeded, match="after 21 nodes"):
+            exact_clique_chromatic_number(petersen(), budget=20)
+        assert exact_clique_chromatic_number(petersen(), budget=31)[0] == 3
+
+
+WRONG_LENGTH_CHECKS = {
+    "monochromatic_maximal_cliques": lambda g, c: monochromatic_maximal_cliques(g, c),
+    "repair": lambda g, c: repair(g, c),
+    "select_useful_class": lambda g, c: select_useful_class(g, c, build_schedule(g.n, 0.5)),
+    "certify": lambda g, c: certify(g, c, build_schedule(g.n, 0.5), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CHECKS))
+@pytest.mark.parametrize("colors", [(1, 2), (1, 2, 1, 2)])
+def test_coloring_of_the_wrong_length_is_rejected(name, colors):
+    with pytest.raises(ValueError, match="coloring covers"):
+        WRONG_LENGTH_CHECKS[name](complete(3), Coloring(colors))
 
 
 class TestColoringIO:

@@ -240,6 +240,20 @@ class TestPredictedBounds:
         assert ratio == pytest.approx(-math.log1p(-0.7) / 0.7, rel=1e-12)
         assert ratio > 1.0
 
+    def test_dense_windows_follow_the_schedule_at_the_boundary(self):
+        # p = n^-sigma is in the dense case. rho = log(1/p)/log(n) recomputed
+        # from it can round above sigma; the dense-case windows must still
+        # agree with build_schedule's case split.
+        disagree = []
+        for e in range(4, 301):
+            for n in (float(f"1e{e}"), 2.0**e, float(f"3.7e{e}")):
+                p = n**-SIGMA
+                dense = build_schedule(n, p).m >= 2
+                windows = {b.label: b.in_range for b in predicted_bounds(n, p)}
+                if windows["sparse_half"] != dense or windows["half_log_base"] != dense:
+                    disagree.append(n)
+        assert disagree == []
+
     def test_in_range_windows(self):
         labels_in = {b.label for b in predicted_bounds(1e6, 0.3) if b.in_range}
         assert "order_log_over_p" in labels_in

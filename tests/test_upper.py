@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliquechrom import upper
+from cliquechrom import coloring, upper
 from cliquechrom.cliques import maximal_cliques_within
 from cliquechrom.coloring import Coloring, is_valid_clique_coloring, monochromatic_maximal_cliques
 from cliquechrom.graph import Graph, sample_gnp
@@ -228,7 +228,7 @@ class TestRun:
             calls.append(members)
             return maximal_cliques_within(g, members)
 
-        monkeypatch.setattr(upper, "maximal_cliques_within", counted)
+        monkeypatch.setattr(coloring, "maximal_cliques_within", counted)
         # n=100, p=0.2, seed 12: variant B leaves two monochromatic cliques
         rep, fixed = run(sample_gnp(100, 0.2, seed=12), 0.2, "B")
         assert rep.mono_pre_repair == 2 and len(fixed.recolored) == 2
