@@ -148,7 +148,7 @@ def cmd_certify(args) -> int:
     sch = build_schedule(g.n, _edge_probability(args), epsilon=args.epsilon)
     report = certify(g, coloring, sch, seed=args.seed, budget=args.budget, relax=args.relax)
     _emit(report.to_dict(), args.report)
-    return EXIT_OK
+    return EXIT_BUDGET if report.exhausted else EXIT_OK
 
 
 def cmd_params(args) -> int:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("certify", help="hunt for a monochromatic maximal clique")
     _graph_source_args(sub)
     sub.add_argument("--coloring", required=True)
-    sub.add_argument("--budget", type=int, default=10_000, help="candidate samples")
+    sub.add_argument("--budget", type=int, default=10_000, help="search nodes (vertices placed)")
     sub.add_argument("--relax", type=float, help="replace ell_1(W) by this fraction of |W|")
     sub.add_argument("--epsilon", type=float, default=0.005)
     sub.add_argument("--assume-p", type=float, help="p to use with --graph input")

@@ -152,32 +152,48 @@ def find_clique_dominating_outside(
     if wb == 0:
         return None
 
-    found = _dominating_dfs(g.adj, wb, outside, k_max)
+    # With no vertex outside w, the empty clique already qualifies.
+    found = _dominating_search(g.adj, [wb] * k_max, outside)[0] if outside else 0
     if found is None and restarts > 0:
         found = _dominating_restarts(g, wb, outside, restarts, seed)
-    if found is None:
-        return None
-    return extend_to_maximal(g, iter_bits(found), forbidden=iter_bits(outside))
+    return None if found is None else extend_to_maximal(g, iter_bits(found), forbidden=iter_bits(outside))
 
 
-def _dominating_dfs(adj: list[int], wb: int, outside: int, k_max: int) -> Optional[int]:
-    # DFS over cliques in w in ascending vertex order; `alive` tracks the
-    # outside vertices still adjacent to the whole partial clique.
-    def rec(kb: int, size: int, cand: int, alive: int) -> Optional[int]:
-        if alive == 0:
-            return kb
-        if size == k_max:
-            return None
+def _dominating_search(
+    adj: list[int], slots: list[int], outside: int, budget: Optional[int] = None
+) -> tuple[Optional[int], int, bool]:
+    """Depth-first search for a non-empty clique K, no vertex of `outside`
+    adjacent to all of it, with one vertex from each of a prefix of `slots`
+    (vertex bitsets) inside the common neighbourhood of the vertices before.
+    A run of equal slots takes ascending ids, so each clique is met once.
+    Each vertex placed is one node; the search stops at the first such K or
+    once `budget` nodes (None: no cap) are spent. Returns (K or None, nodes,
+    budget spent)."""
+    nodes, spent = 0, False
+
+    def grow(depth: int, cand: int, common: int, kb: int, alive: int) -> Optional[int]:
+        nonlocal nodes, spent
+        more = depth + 1 < len(slots)
         while cand:
+            if nodes == budget:
+                spent = True
+                return None
+            nodes += 1
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            hit = rec(kb | low, size + 1, cand & adj[v], alive & adj[v])
-            if hit is not None:
-                return hit
+            left = alive & adj[v]
+            if left == 0:
+                return kb | low
+            if more:
+                nxt = cand if slots[depth + 1] == slots[depth] else slots[depth + 1] & common
+                hit = grow(depth + 1, nxt & adj[v], common & adj[v], kb | low, left)
+                if hit is not None or spent:
+                    return hit
         return None
 
-    return rec(0, 0, wb, outside)
+    found = grow(0, slots[0], -1, 0, outside) if slots else None
+    return found, nodes, spent
 
 
 def _dominating_restarts(g: Graph, wb: int, outside: int, restarts: int, seed: int) -> Optional[int]:

@@ -38,6 +38,12 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
+def require_budget(budget: int, name: str = "budget") -> None:
+    """Raise ValueError for a budget below 0."""
+    if budget < 0:
+        raise ValueError(f"{name} must be >= 0, got {budget}")
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Total map vertex -> color id, stored as a tuple indexed by vertex-1."""
@@ -184,7 +190,8 @@ def exact_clique_chromatic_number(
     wrong number. Intended for n up to roughly 30. The edgeless graph has
     value 1 (0 when there are no vertices at all).
     """
-    cliques = list(islice(offending_cliques(g, g.all_bits), max(budget, 0) + 1))
+    require_budget(budget)
+    cliques = list(islice(offending_cliques(g, g.all_bits), budget + 1))
     if len(cliques) > budget:
         raise BudgetExceeded(len(cliques), "maximal cliques")
     return _solve_hypergraph_coloring(g.n, cliques, budget)
@@ -192,6 +199,7 @@ def exact_clique_chromatic_number(
 
 def exact_chromatic_number(g: Graph, budget: int = 20_000_000) -> tuple[int, Coloring]:
     """Exact ordinary chromatic number (no monochromatic edge), same engine."""
+    require_budget(budget)
     edges = [(1 << u) | (1 << v) for u, v in g.edges()]
     return _solve_hypergraph_coloring(g.n, edges, budget)
 

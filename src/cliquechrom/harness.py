@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO, get_args, get_type_hints
 
-from .coloring import Coloring, is_valid_clique_coloring
+from .coloring import Coloring, is_valid_clique_coloring, require_budget
 from .graph import sample_gnp
 from .lowerbound import certify
 from .params import build_schedule, predicted_bounds
@@ -156,6 +156,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        require_budget(self.repair_budget, "repair_budget")
+        require_budget(self.certify_budget, "certify_budget")
         bad = set(self.procedures) - {"A", "B", "certify"}
         if bad:
             raise ValueError(f"unknown procedures: {sorted(bad)}")

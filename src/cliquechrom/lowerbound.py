@@ -3,9 +3,9 @@
 Given a coloring with few classes, the pipeline hunts for a monochromatic
 inclusion-maximal clique inside one class: pick a promising ("useful") class
 W, randomly split most of it into parts A, B_1..B_m so that each of the m
-highest-A-degree outside vertices misses one part, and sample k-sets with
-k-m vertices in A and one in each B_i. Such a set that happens to be a
-clique and has no common neighbor outside W extends to a maximal clique
+highest-A-degree outside vertices misses one part, and search the candidate
+family C+ (k-m vertices of A, one of each B_i) depth first for a clique with
+no common neighbor outside W. Such a clique extends to a maximal clique
 inside W, certifying that the coloring is not a valid clique coloring.
 
 The thresholds the asymptotic argument uses (ell_1, usefulness) are usually
@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .cliques import extend_to_maximal, find_clique_dominating_outside, is_maximal_clique
-from .coloring import Coloring, color_classes
+from .cliques import _dominating_search, extend_to_maximal, is_maximal_clique
+from .coloring import Coloring, color_classes, require_budget
 from .graph import Graph, bits_of, common_non_neighbors, iter_bits
 from .params import ParamSchedule, lambda_report
 
@@ -493,12 +493,13 @@ class CertifyReport:
     found: bool
     clique: Optional[frozenset[int]]
     class_color: Optional[int]
-    method: Optional[str]  # "sampled" | "dominating"
-    candidates_tested: int
+    method: Optional[str]  # "sampled" (the C+ search; perfbench counts this name) | "dominating"
+    candidates_tested: int  # search nodes: vertices placed by both searches
     relax: Optional[float]
     selection: Optional[Selection]
     partition_attempts: int
     validated: bool
+    exhausted: bool  # the search budget ran out before an answer
 
     def to_dict(self) -> dict:
         return {
@@ -511,6 +512,7 @@ class CertifyReport:
             "class_count_ok": self.selection.class_count_ok if self.selection else None,
             "partition_attempts": self.partition_attempts,
             "validated": self.validated,
+            "exhausted": self.exhausted,
         }
 
 
@@ -528,60 +530,53 @@ def certify(
     """Hunt for a monochromatic inclusion-maximal clique (size >= 2) in some
     color class of c.
 
-    Pipeline: select a useful class, build a pseudo-partition, sample up to
-    `budget` random candidate k-sets from it, keep the first that is a clique
-    with no common neighbor outside the class, and extend it to a maximal
-    clique inside the class. Classes without a workable partition fall back
-    to the exhaustive-then-random dominating-clique search (on at most the
-    first few classes, largest first). Not finding anything within budget is
-    a legitimate outcome, reported as found=False.
+    Pipeline: select a useful class, build a pseudo-partition A, B_1..B_m of
+    it, and search the candidate family C+ (k-m vertices of A, one of each
+    B_i) for a clique with no common neighbor outside the class, which
+    extends to a maximal clique inside it. Classes are taken useful class
+    first (else largest first); on the first few, the same search then runs
+    over up to max(k, 6) vertices of the whole class. All searches draw on
+    one `budget` of search nodes; spending it ends the hunt with
+    exhausted=True. Finding nothing is a legitimate outcome (found=False).
     """
+    require_budget(budget)
     class_bits = dict(color_classes(g, c))
     rng = random.Random(seed)
     selection = select_useful_class(g, c, sch, relax)
     if selection is not None:
-        order = [selection.class_color] + [
-            color for color in class_bits if color != selection.class_color
-        ]
+        first = selection.class_color
+        order = [first] + [color for color in class_bits if color != first]
     else:
-        order = [
-            color
-            for color, _ in sorted(
-                class_bits.items(), key=lambda kv: (-kv[1].bit_count(), kv[0])
-            )
-        ]
+        order = sorted(class_bits, key=lambda color: (-class_bits[color].bit_count(), color))
 
-    tested = attempts_total = 0
+    nodes = attempts_total = 0
     clique = method = None
+    spent = False
     for rank, color in enumerate(order):
         wb = class_bits[color]
         outside = g.all_bits & ~wb
-
-        # Sampling path through the pseudo-partition.
-        if tested < budget:
-            witness = None
+        searches = []
+        if nodes < budget:
             try:
                 witness = pseudo_partition(g, iter_bits(wb), sch, seed=rng.randrange(2**63), relax=relax)
             except (PartitionError, ValueError):
-                pass
+                witness = None
             if witness is not None:
                 attempts_total += witness.attempts
-                hit, used = _sample_candidates(
-                    g, witness, sch, outside, rng, budget - tested
-                )
-                tested += used
-                if hit is not None:
-                    clique, method = hit, "sampled"
-                    break
-
-        # Fallback: budgeted dominating-clique search.
+                slots = [bits_of(witness.a_set)] * (sch.k - sch.m)
+                searches.append(("sampled", slots + [bits_of(bs) for bs in witness.b_sets]))
         if rank < _FALLBACK_CLASSES:
-            dominating = find_clique_dominating_outside(
-                g, iter_bits(wb), k_max=max(sch.k, 6), restarts=1000, seed=seed + rank
-            )
-            if dominating is not None and len(dominating) >= 2:
-                clique, method = dominating, "dominating"
+            searches.append(("dominating", [wb] * max(sch.k, 6)))
+        for how, slots in searches:
+            hit, used, spent = _dominating_search(g.adj, slots, outside, budget - nodes)
+            nodes += used
+            grown = hit and extend_to_maximal(g, iter_bits(hit), forbidden=iter_bits(outside))
+            if grown and len(grown) >= 2:
+                clique, method = grown, how
+            if clique or spent:
                 break
+        if clique or spent:
+            break
 
     found = clique is not None
     return CertifyReport(
@@ -589,47 +584,11 @@ def certify(
         clique=clique,
         class_color=color if found else None,
         method=method,
-        candidates_tested=tested,
+        candidates_tested=nodes,
         relax=relax,
         selection=selection,
         partition_attempts=attempts_total,
-        validated=found
-        and len(clique) >= 2
-        and len({c.color_of(v) for v in clique}) == 1
-        and is_maximal_clique(g, clique),
+        validated=found and len(clique) >= 2 and is_maximal_clique(g, clique)
+        and len({c.color_of(v) for v in clique}) == 1,
+        exhausted=spent,
     )
-
-
-def _sample_candidates(
-    g: Graph,
-    pw: PartitionWitness,
-    sch: ParamSchedule,
-    outside: int,
-    rng: random.Random,
-    budget: int,
-) -> tuple[Optional[frozenset[int]], int]:
-    km = sch.k - sch.m
-    a_list = sorted(pw.a_set)
-    b_lists = [sorted(bs) for bs in pw.b_sets]
-    if km < 0 or len(a_list) < km or any(not bl for bl in b_lists):
-        return None, 0
-    for used in range(1, budget + 1):
-        picks = rng.sample(a_list, km) + [rng.choice(bl) for bl in b_lists]
-        kb = bits_of(picks)
-        if kb.bit_count() < 2:
-            continue
-        clique = True
-        for v in picks:
-            if kb & ~g.adj[v] & ~(1 << v):
-                clique = False
-                break
-        if not clique:
-            continue
-        cn = g.all_bits
-        for v in picks:
-            cn &= g.adj[v]
-        if cn & outside:
-            continue  # some outside vertex dominates the candidate
-        grown = extend_to_maximal(g, picks, forbidden=iter_bits(outside))
-        return grown, used
-    return None, budget

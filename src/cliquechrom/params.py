@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Iterator, Optional
 
@@ -136,10 +137,7 @@ class ParamSchedule:
     def x(self, i):
         """x_i = log(n) / (phi(r_i - 1) p)."""
         rate = self.rate(i)
-        # Dividing in rate's own array saves one chunk-sized temporary per
-        # chunk of a series, which keeps the heap from being trimmed and
-        # refaulted on every chunk: it halves the page faults of the Pi sums
-        # at n = 1e12 (x86-64, glibc malloc).
+        # In rate's own array: one chunk-sized temporary fewer, fewer page faults.
         return np.divide(math.log(self.n), rate, out=rate if np.ndim(rate) else None)
 
     def last_index(self, cutoff: float) -> int:
@@ -168,6 +166,11 @@ class ParamSchedule:
         """The non-neighbor threshold ell_1(W) for a set W of `size` vertices;
         ell1(0) is ell0."""
         return _ell1(self.n, self.p, self.delta, self.s, self.tau, size)
+
+    @cached_property
+    def _series(self) -> tuple[float, float, float]:
+        """`_walk_series` forward, for `lambda_report` and `inequality_check`."""
+        return _walk_series(self)
 
 
 def _ell1(n: float, p: float, delta: float, s: int, tau: float, size: int) -> float:
@@ -283,19 +286,43 @@ class LambdaReport:
     nu: float
 
 
-def _pi_sum(sch: ParamSchedule, cutoff: float, reverse: bool = False) -> float:
-    """Direct summation of Pi_cutoff, the terms
-    x_i ((r_{i+1} p)^(k-m) - (r_i p)^(k-m)) over i >= 2 with p r_i <= cutoff."""
+def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, float, float]:
+    """(Pi_alpha, Pi_{1/log n}, density-series minimum) from one walk over the levels.
+
+    Pi_cutoff sums x_i ((r_{i+1} p)^(k-m) - (r_i p)^(k-m)) over i >= 2 with
+    p r_i <= cutoff, in chunks from level 2: each chunk's terms, a prefix
+    slice per cutoff, are reduced pairwise and the chunk sums added in order.
+    `reverse` reverses both orders (a numerical self-check) and skips the
+    minimum of ceil(x_i)(phi(r_i - 1) p - log^3(n)/ell0) over i >= 1 with
+    r_i p <= 1, which is nan when skipped, too long to walk or ell0 <= 0.
+    """
+    ln_n = math.log(sch.n)
     km = sch.k - sch.m
-    ln_p = math.log(sch.p)
     step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
-    total = 0.0
-    for i in sch.levels(2, sch.last_index(cutoff), reverse):
-        terms = sch.x(i) * np.exp(km * (ln_p + sch.zeta * i)) * step
-        if reverse:
-            terms = terms[::-1]
-        total += float(np.add.reduce(terms))
-    return total
+    lasts = (sch.last_index(sch.alpha), sch.last_index(1.0 / ln_n))
+    dens_last = sch.last_index(1.0)
+    best = math.nan
+    if reverse or sch.ell0 <= 0.0 or dens_last > _TERM_LIMIT:
+        dens_last = 0
+    else:
+        correction = ln_n**3 / sch.ell0
+        rate = sch.rate(np.ones(min(dens_last, 1)))  # level 1, if any
+        best = float(np.min(np.ceil(ln_n / rate) * (rate - correction), initial=math.inf))
+    totals = [0.0, 0.0]
+    for i in sch.levels(2, max(*lasts, dens_last), reverse):
+        lo = int(i[0])
+        rate = sch.rate(i)
+        if dens_last >= lo:
+            d = dens_last - lo + 1
+            best = min(best, float((np.ceil(ln_n / rate[:d]) * (rate[:d] - correction)).min()))
+        x = np.divide(ln_n, rate, out=rate)  # in place, as `ParamSchedule.x` does
+        top = max(max(lasts) - lo + 1, 0)
+        terms = x[:top] * np.exp(km * (math.log(sch.p) + sch.zeta * i[:top])) * step
+        for j, last in enumerate(lasts):
+            part = terms[: max(last - lo + 1, 0)]
+            if part.size:
+                totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
+    return totals[0], totals[1], best
 
 
 def _lambda0(sch: ParamSchedule) -> np.longdouble:
@@ -318,8 +345,7 @@ def lambda_report(sch: ParamSchedule, reverse: bool = False) -> LambdaReport:
     series (a numerical self-check; the result must agree).
     """
     lambda0 = float(_lambda0(sch))
-    pi_alpha = float(_pi_sum(sch, sch.alpha, reverse=reverse))
-    pi_invlog = float(_pi_sum(sch, 1.0 / math.log(sch.n), reverse=reverse))
+    pi_alpha, pi_invlog, _ = _walk_series(sch, reverse=True) if reverse else sch._series
     if sch.m >= 2:
         lam = lambda0 + pi_alpha
     else:
@@ -411,19 +437,6 @@ class InequalityReport:
         return all(self.flags.values())
 
 
-def _density_series_lhs(sch: ParamSchedule) -> float:
-    """min over i >= 1 with r_i p <= 1 of ceil(x_i)(phi(r_i-1) p - log^3(n)/ell0)."""
-    ln_n = math.log(sch.n)
-    correction = ln_n**3 / sch.ell0
-    best = math.inf
-    for i in sch.levels(1, sch.last_index(1.0)):
-        rate = sch.rate(i)
-        x_i = np.ceil(ln_n / rate)
-        vals = x_i * (rate - correction)
-        best = min(best, float(vals.min()))
-    return best
-
-
 def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> InequalityReport:
     """Numerically evaluate the schedule's inequality system at this (n, p).
 
@@ -455,7 +468,7 @@ def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> 
 
     if sch.ell0 > 0.0:
         try:
-            dens_lhs = _density_series_lhs(sch)
+            dens_lhs = sch._series[2]
         except ValueError:
             dens_lhs = math.nan  # series too long for direct evaluation
         dens_rhs = 1.0 + max(math.log(n * ln_n**2 * math.e / sch.ell0), 0.0)

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import Coloring, color_classes, offending_cliques
+from .coloring import Coloring, color_classes, offending_cliques, require_budget
 from .graph import Graph, iter_bits
 from .params import clamp_delta, class_count
 
@@ -234,6 +234,7 @@ def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
     first offending clique; once the budget is spent, that pass and every
     later class are counted in full for remaining_mono.
     """
+    require_budget(budget, "repair budget")
     assignment = list(c.colors)
     fresh = max(assignment, default=0)
     recolored: list[int] = []

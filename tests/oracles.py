@@ -8,6 +8,7 @@ instances.
 from __future__ import annotations
 
 from itertools import product
+from typing import Optional
 
 import numpy as np
 
@@ -78,6 +79,26 @@ def brute_chromatic(g: Graph) -> int:
             if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges()):
                 return q
         q += 1
+
+
+def _dominating_dfs(adj: list[int], wb: int, outside: int, k_max: int) -> Optional[int]:
+    # DFS over cliques in w in ascending vertex order; `alive` tracks the
+    # outside vertices still adjacent to the whole partial clique.
+    def rec(kb: int, size: int, cand: int, alive: int) -> Optional[int]:
+        if alive == 0:
+            return kb
+        if size == k_max:
+            return None
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            hit = rec(kb | low, size + 1, cand & adj[v], alive & adj[v])
+            if hit is not None:
+                return hit
+        return None
+
+    return rec(0, 0, wb, outside)
 
 
 def reference_sample_gnp(n: int, p: float, seed: int) -> Graph:

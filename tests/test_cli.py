@@ -130,6 +130,37 @@ class TestCertify:
         doc = json.loads(report.read_text())
         assert doc["found"] is True and doc["validated"] is True
 
+    def test_spent_budget_exits_2(self, tmp_path):
+        # The fallback search over the odd vertices of G(400, 0.9) would walk
+        # every clique of up to max(k, 6) of them; the budget stops it.
+        proc = TestOutOfMemory.run_capped(
+            ["certify", "--n", 400, "--p", 0.9, "--seed", 1, "--coloring", odd_even(tmp_path, 400),
+             "--relax", 0.25, "--budget", 1000], timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stderr == ""
+        doc = strict_json(proc.stdout)
+        assert doc["exhausted"] is True and doc["found"] is False
+        assert doc["candidates_tested"] == 1000
+
+
+def odd_even(directory, n):
+    """Write a colouring file of n vertices: odd vertices 2, even ones 1."""
+    path = directory / "odd_even.colors"
+    path.write_text("".join(f"{v} {1 + v % 2}\n" for v in range(1, n + 1)))
+    return path
+
+
+@pytest.mark.parametrize("args", [
+    ["color", "--n", 100, "--p", 0.2, "--seed", 12, "--variant", "B", "--repair-budget", -1],
+    ["chromatic", "--n", 12, "--p", 0.5, "--seed", 1, "--budget", -5],
+    ["certify", "--n", 40, "--p", 0.3, "--seed", 1, "--coloring", None, "--budget", -1],
+], ids=["color", "chromatic", "certify"])
+def test_budget_below_zero_is_invalid_input(args, tmp_path, capsys):
+    args = [odd_even(tmp_path, 40) if a is None else a for a in args]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget must be >= 0" in err
+
 
 class TestParams:
     def test_json_shape(self, tmp_path):

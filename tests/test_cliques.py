@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquechrom.cliques import (
+    _dominating_search,
     enumerate_maximal_cliques,
     extend_to_maximal,
     find_clique_dominating_outside,
@@ -13,7 +15,7 @@ from cliquechrom.cliques import (
 )
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
 
-from oracles import brute_maximal_cliques
+from oracles import _dominating_dfs, brute_maximal_cliques
 
 
 def complete(n):
@@ -141,3 +143,48 @@ class TestDominatingSearch:
             outside = set(range(1, 15)) - w
             for v in outside:
                 assert any(not g.has_edge(v, u) for u in got)
+
+
+class TestDominatingSearchEngine:
+    def test_runs_of_equal_slots_ascend_and_other_slots_do_not(self):
+        # The only clique dominating vertex 4 pairs 3 (slot A) with 1 (slot B).
+        g = Graph.from_edges(4, [(1, 3), (2, 3), (2, 4), (3, 4)])
+        a, b, outside = 1 << 3, (1 << 1) | (1 << 2), 1 << 4
+        assert _dominating_search(g.adj, [a, b], outside) == ((1 << 1) | (1 << 3), 2, False)
+        # Two slots over {2, 3} meet the pair {2, 3} once, never as {3, 2}.
+        w = (1 << 2) | (1 << 3)
+        assert _dominating_search(complete(4).adj, [w, w], 0b10010) == (None, 3, False)
+
+    def test_budget_counts_vertices_placed(self):
+        g = sample_gnp(60, 0.9, seed=5)
+        w = sum(1 << v for v in range(1, 61, 2))
+        outside = g.all_bits & ~w
+        hit, nodes, spent = _dominating_search(g.adj, [w] * 3, outside)
+        assert hit is None and not spent and nodes > 10
+        for budget in (0, 1, 10, nodes - 1):
+            assert _dominating_search(g.adj, [w] * 3, outside, budget) == (None, budget, True)
+        assert _dominating_search(g.adj, [w] * 3, outside, nodes) == (None, nodes, False)
+
+    def test_no_slots_finds_nothing(self):
+        assert _dominating_search(complete(3).adj, [], 0b10) == (None, 0, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    p=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    w_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k_max=st.integers(min_value=0, max_value=5),
+)
+def test_engine_over_one_class_matches_the_dominating_dfs(n, p, seed, w_seed, k_max):
+    g = sample_gnp(n, p, seed)
+    pick = random.Random(w_seed)
+    w = sum(1 << v for v in range(1, n + 1) if pick.random() < 0.5)
+    outside = g.all_bits & ~w
+    if outside == 0:
+        w, outside = w & ~(1 << n), 1 << n  # the oracle accepts K = {} there
+    hit, nodes, spent = _dominating_search(g.adj, [w] * k_max, outside)
+    assert hit == _dominating_dfs(g.adj, w, outside, k_max)
+    assert not spent
+    assert _dominating_search(g.adj, [w] * k_max, outside, nodes)[0] == hit

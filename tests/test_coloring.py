@@ -18,6 +18,7 @@ from cliquechrom.coloring import (
     write_coloring,
 )
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
+from cliquechrom.harness import SweepConfig
 from cliquechrom.lowerbound import certify, select_useful_class
 from cliquechrom.params import build_schedule
 from cliquechrom.upper import repair
@@ -160,6 +161,23 @@ WRONG_LENGTH_CHECKS = {
 def test_coloring_of_the_wrong_length_is_rejected(name, colors):
     with pytest.raises(ValueError, match="coloring covers"):
         WRONG_LENGTH_CHECKS[name](complete(3), Coloring(colors))
+
+
+NEGATIVE_BUDGET_CHECKS = {
+    "exact_clique_chromatic_number": lambda b: exact_clique_chromatic_number(complete(3), budget=b),
+    "exact_chromatic_number": lambda b: exact_chromatic_number(complete(3), budget=b),
+    "repair": lambda b: repair(complete(3), Coloring((1, 1, 1)), budget=b),
+    "certify": lambda b: certify(complete(3), Coloring((1, 1, 1)), build_schedule(3, 0.5), seed=0, budget=b),
+    "SweepConfig.repair_budget": lambda b: SweepConfig(n_grid=(10,), p_grid=(0.5,), repair_budget=b),
+    "SweepConfig.certify_budget": lambda b: SweepConfig(n_grid=(10,), p_grid=(0.5,), certify_budget=b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_BUDGET_CHECKS))
+def test_budget_below_zero_is_rejected(name):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        NEGATIVE_BUDGET_CHECKS[name](-1)
+    NEGATIVE_BUDGET_CHECKS[name](100)
 
 
 class TestColoringIO:

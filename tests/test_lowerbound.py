@@ -351,3 +351,31 @@ class TestCertify:
         sch = build_schedule(4, 0.5)
         doc = certify(g, Coloring((1, 1, 1, 1)), sch, seed=0).to_dict()
         assert doc["found"] is True and doc["clique"] == [1, 2, 3, 4]
+        assert doc["exhausted"] is False
+
+    def test_cplus_search_certifies_the_acceptance_instances(self):
+        # Acceptance 10's instances: the pseudo-partition path answers every
+        # one, and the fallback over the whole class is never needed.
+        sch = build_schedule(500, 0.3)
+        coloring = Coloring(tuple(1 + (v % 2) for v in range(1, 501)))
+        for seed in range(20):
+            g = sample_gnp(500, 0.3, seed=100_000 + seed)
+            rep = certify(g, coloring, sch, seed=seed, relax=0.25)
+            assert rep.found and rep.validated and rep.method == "sampled"
+            assert not rep.exhausted and rep.candidates_tested <= 1000
+
+    def test_spent_budget_ends_the_hunt(self):
+        # On G(400, 0.9) a dominating clique of the odd vertices needs more
+        # than max(k, 6) of them, so the searches would walk every small clique.
+        g = sample_gnp(400, 0.9, seed=1)
+        coloring = Coloring(tuple(1 + (v % 2) for v in range(1, 401)))
+        sch = build_schedule(400, 0.9)
+        for budget in (0, 1000):
+            rep = certify(g, coloring, sch, seed=1, budget=budget, relax=0.25)
+            assert rep.exhausted and not rep.found and not rep.validated
+            assert rep.candidates_tested == budget
+            assert rep.to_dict()["exhausted"] is True
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            certify(complete(4), Coloring((1, 1, 1, 1)), build_schedule(4, 0.5), seed=0, budget=-1)

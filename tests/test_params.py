@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+
+from cliquechrom import params
 
 from cliquechrom.params import (
     NU,
@@ -189,6 +192,47 @@ class TestJansonExponent:
         sch = build_schedule(1000, 0.2)
         with pytest.raises(ValueError):
             janson_exponent(sch, 0, 5)
+
+
+class TestSeriesWalk:
+    def test_forward_sums_are_walked_once_and_reverse_every_time(self, monkeypatch):
+        calls = []
+        walk = params._walk_series
+
+        def counted(sch, reverse=False):
+            calls.append(reverse)
+            return walk(sch, reverse)
+
+        monkeypatch.setattr(params, "_walk_series", counted)
+        sch = build_schedule(1e6, 1e6**-0.3)
+        lam = lambda_report(sch)
+        inequality_check(sch, lam)
+        assert lambda_report(sch) == lam
+        inequality_check(sch)
+        assert calls == [False]
+        assert lambda_report(sch, reverse=True) == lambda_report(sch, reverse=True)
+        assert calls == [False, True, True]
+
+    def test_reverse_reads_no_cached_sums(self):
+        sch = build_schedule(1e6, 1e6**-0.3)
+        sch.__dict__["_series"] = (1.0, 2.0, 3.0)
+        assert (lambda_report(sch).pi_alpha, inequality_check(sch).values["density_series_lhs"]) == (1.0, 3.0)
+        assert lambda_report(sch, reverse=True).pi_alpha != 1.0
+
+    @pytest.mark.parametrize("n, rho", [(1e6, 0.3), (1e9, 0.45)])  # 1 and 2 chunks
+    def test_sums_and_minimum_match_a_single_array_walk(self, n, rho):
+        sch = build_schedule(n, n**-rho)
+        ln_n = math.log(n)
+        km = sch.k - sch.m
+        i = np.arange(1, sch.last_index(1.0) + 1, dtype=np.float64)
+        rate = sch.rate(i)
+        dens = np.ceil(ln_n / rate) * (rate - ln_n**3 / sch.ell0)
+        terms = (ln_n / rate) * np.exp(km * (math.log(sch.p) + sch.zeta * i)) * math.expm1(sch.zeta * km)
+        pi = [math.fsum(terms[1 : sch.last_index(cut)]) for cut in (sch.alpha, 1.0 / ln_n)]
+        rep = lambda_report(sch)
+        assert rep.pi_alpha == pytest.approx(pi[0], rel=1e-12)
+        assert rep.pi_invlog == pytest.approx(pi[1], rel=1e-12)
+        assert inequality_check(sch, rep).values["density_series_lhs"] == float(dens.min())
 
 
 class TestInequalities:
