@@ -1,17 +1,34 @@
 """Maximal-clique machinery on bitset graphs.
 
 Enumeration is pivoted Bron-Kerbosch: the pivot is the vertex of P ∪ X whose
-neighborhood covers most of the candidate set P, so branches under a vertex
-that dominates P die immediately. `maximal_cliques_within` exploits this to
-enumerate only cliques that are maximal in the *whole* graph yet contained
-in a given vertex set, by seeding X with everything outside the set; that is
-the workhorse of clique-coloring validity checks.
+neighborhood covers most of the candidate set P, the first such vertex in id
+order, so branches under a vertex that dominates P die immediately.
+`maximal_cliques_within(g, W)` enumerates only the cliques that are maximal
+in the *whole* graph yet contained in W, by seeding X with everything
+outside W; that is the workhorse of clique-coloring validity checks.
+
+A proper subset W is handled in three steps before the search:
+  gate:       if an outside vertex is adjacent to all of W, it extends
+              every clique in W, so nothing is yielded (the greedy color
+              classes, whose members share a neighbor, end here);
+  projection: only Γ(u) ∩ W matters for an outside u, so the |W| rows are
+              transposed with numpy into one |W|-bit mask per outside
+              vertex, and the search runs on |W|-bit local labels;
+  dedup:      outside vertices with the same non-empty mask behave alike,
+              so each distinct mask is kept once and stands for its lowest
+              vertex id. A mask contained in another is still kept.
+The pivot scan compares covers of in-class vertices and outside masks and
+breaks ties by the smaller global id, so the cliques come out in exactly
+the order of the unprojected search. The whole-graph call runs the same
+search with no outside masks and the identity labelling.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .graph import Graph, bits_of, iter_bits
 
@@ -25,35 +42,83 @@ __all__ = [
 ]
 
 
-def _bron_kerbosch(adj: list[int], r: int, p: int, x: int) -> Iterator[int]:
+class _Outside(NamedTuple):
+    """The outside vertices of a projected search, one entry per distinct
+    non-empty mask j, ascending in `reps`."""
+
+    masks: list[int]  # Γ(u) ∩ W in local labels, for the outside u of mask j
+    outadj: list[int]  # per local label v: the bitset of the masks containing v
+    ids: list[int]  # per local label: its global id
+    reps: list[int]  # the lowest global id with mask j
+
+
+_NO_OUTSIDE = _Outside([], [], [], [])
+
+
+def _bron_kerbosch(adj: list[int], out: _Outside, r: int, p: int, x: int, xo: int) -> Iterator[int]:
     """Yield bitsets of the maximal cliques K with R ⊆ K ⊆ R ∪ P such that
-    no vertex of X is adjacent to all of K."""
-    if p == 0 and x == 0:
+    no vertex of X and no outside vertex of a mask in XO is adjacent to all
+    of K. All bitsets are in the labels of `adj`.
+
+    It recurses at module level with `out` passed down: a recursive closure
+    would be a reference cycle that keeps each class's masks alive until
+    the cyclic collector runs."""
+    if p == 0 and x == 0 and xo == 0:
         yield r
         return
-    # Tomita pivot: u in P ∪ X maximizing |P ∩ Γ(u)|.
-    best_cover = -1
+    # Tomita pivot: u in P ∪ X maximizing |P ∩ Γ(u)|, first in id order.
+    best = -1
     full = p.bit_count()
-    pivot_adj = 0
     scan = p | x
     while scan:
         low = scan & -scan
         scan ^= low
         u = low.bit_length() - 1
         cover = (p & adj[u]).bit_count()
-        if cover > best_cover:
-            best_cover = cover
-            pivot_adj = adj[u]
+        if cover > best:
+            best = cover
+            pivot = u
             if cover == full:
                 break
+    pivot_adj = adj[pivot] if best >= 0 else 0
+    # A pivot covering all of P leaves no branch, so when an in-class vertex
+    # does, the outside masks cannot change the outcome.
+    if xo and best < full:
+        j, cover = _outside_pivot(p, xo, out.masks, full)
+        if cover > best or (cover == best and out.reps[j] < out.ids[pivot]):
+            pivot_adj = out.masks[j]
     cand = p & ~pivot_adj
     while cand:
         low = cand & -cand
         cand ^= low
         v = low.bit_length() - 1
-        yield from _bron_kerbosch(adj, r | low, p & adj[v], x & adj[v])
+        row = adj[v]
+        xo_v = xo and xo & out.outadj[v]
+        # A branch with nothing left to add is a leaf, answered here rather
+        # than by a recursive call: R + v is maximal iff X and XO are empty.
+        if p & row:
+            yield from _bron_kerbosch(adj, out, r | low, p & row, x & row, xo_v)
+        elif not (x & row or xo_v):
+            yield r | low
         p &= ~low
         x |= low
+
+
+def _outside_pivot(p: int, xo: int, masks: list[int], full: int) -> tuple[int, int]:
+    """The first mask j in XO with the largest cover |P ∩ masks[j]|, and
+    that cover."""
+    best = -1
+    while xo:
+        low = xo & -xo
+        xo ^= low
+        j = low.bit_length() - 1
+        cover = (p & masks[j]).bit_count()
+        if cover > best:
+            best = cover
+            pivot = j
+            if cover == full:
+                break
+    return pivot, best
 
 
 def enumerate_maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
@@ -69,7 +134,50 @@ def enumerate_maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
 def maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
     """Bitsets of the cliques that are maximal in g and contained in the
     vertex bitset `members`."""
-    return _bron_kerbosch(g.adj, 0, members, g.all_bits & ~members)
+    outside = g.all_bits & ~members
+    if outside == 0:
+        return _bron_kerbosch(g.adj, _NO_OUTSIDE, 0, members, 0, 0)
+    # Gate: an outside vertex adjacent to all of W dominates every clique in
+    # W. Narrow the candidates to at most one, then test what is left.
+    common = outside
+    for w in iter_bits(members):
+        common &= g.adj[w]
+        if common & (common - 1) == 0:
+            break
+    if any(members & ~g.adj[u] == 0 for u in iter_bits(common)):
+        return iter(())
+    return _projected(g, list(iter_bits(members)))
+
+
+def _projected(g: Graph, ws: list[int]) -> Iterator[int]:
+    """The search on W = ws with label i for ws[i], each clique mapped back
+    to global ids."""
+    k, n = len(ws), g.n
+    # Row u of `cols` holds Γ(u) ∩ W as a |W|-bit little-endian mask.
+    nbytes = (n + 8) // 8
+    width = 8 if k <= 64 else (k + 7) // 8
+    cols = np.zeros((n + 1, width), dtype=np.uint8)
+    # Eight rows per pass make one byte of every mask, with an 8 (n + 1)-byte
+    # bool buffer whatever |W| is.
+    for at in range(0, k, 8):
+        rows = b"".join(g.adj[w].to_bytes(nbytes, "little") for w in ws[at : at + 8])
+        bits = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(-1, nbytes), axis=1, count=n + 1, bitorder="little")
+        cols[:, at >> 3] = np.packbits(bits, axis=0, bitorder="little")[0]
+    keys = cols.view("<u8" if width == 8 else np.dtype((np.void, width))).ravel()
+    out_ids = np.setdiff1d(np.arange(1, n + 1), ws, assume_unique=True)
+    # np.unique's first index of each key is its lowest outside id.
+    first = np.unique(keys[out_ids], return_index=True)[1]
+    reps = out_ids[np.sort(first[cols[out_ids[first]].any(axis=1)])]
+    # Column v of `holders` packs, over the masks, whether each contains v.
+    holders = np.packbits(np.unpackbits(cols[reps], axis=1, count=k, bitorder="little"), axis=0, bitorder="little")
+    outadj = [int.from_bytes(col.tobytes(), "little") for col in holders.T]
+
+    def ints(rows: np.ndarray) -> list[int]:
+        return rows.tolist() if width == 8 else [int.from_bytes(row, "little") for row in rows.tolist()]
+
+    out = _Outside(ints(keys[reps]), outadj, ws, reps.tolist())
+    for kb in _bron_kerbosch(ints(keys[ws]), out, 0, (1 << k) - 1, 0, (1 << len(out.masks)) - 1):
+        yield sum(1 << ws[i] for i in iter_bits(kb))
 
 
 def is_clique(g: Graph, k: Iterable[int]) -> bool:

@@ -243,4 +243,6 @@ def read_edge_list(fh: TextIO) -> Graph:
         seen += 1
     if seen != m:
         raise ValueError(f"header claims {m} edges, file has {seen}")
-    return Graph(n, adj)
+    # Every check Graph(n, adj) would make has been made per line above, and
+    # each edge was set in both rows.
+    return Graph._wrap(n, adj)

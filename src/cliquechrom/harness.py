@@ -31,6 +31,7 @@ from . import upper
 __all__ = [
     "SCHEMA_VERSION",
     "REPAIR_EXHAUSTED",
+    "CERTIFY_EXHAUSTED",
     "RECORD_COLUMNS",
     "ExperimentRecord",
     "SweepConfig",
@@ -46,9 +47,11 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# The error column of a trial whose repair loop ran out of budget; the only
-# error text that makes a sweep report budget exhaustion.
+# The error column of a trial whose repair loop, or whose certificate search,
+# ran out of budget; the only error texts that make a sweep report budget
+# exhaustion.
 REPAIR_EXHAUSTED = "budget exhausted in repair"
+CERTIFY_EXHAUSTED = "budget exhausted in certify"
 
 PREDICTION_LABELS = (
     "order_log_over_p",
@@ -249,7 +252,12 @@ def _run_trial(cfg: SweepConfig, n: int, p: float, procedure: str, seed: int) ->
         sch = build_schedule(n, p)
         report = certify(g, coloring, sch, seed=seed, budget=cfg.certify_budget, relax=cfg.relax)
         found = report.found and report.validated
-        valid = False if found else is_valid_clique_coloring(g, coloring)
+        # A spent search leaves validity unknown: checking it would be the
+        # unbounded enumeration the budget is there to avoid.
+        if report.exhausted:
+            valid = None
+        else:
+            valid = False if found else is_valid_clique_coloring(g, coloring)
         return ExperimentRecord(
             **base,
             palette=classes,
@@ -257,7 +265,7 @@ def _run_trial(cfg: SweepConfig, n: int, p: float, procedure: str, seed: int) ->
             s=sch.s,
             delta=sch.delta,
             certificate_found=found,
-            error="",
+            error=CERTIFY_EXHAUSTED if report.exhausted else "",
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # per-trial failures never abort the sweep
@@ -300,7 +308,7 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
             records = tuple(pool.map(*args, chunksize=1))
     else:
         records = tuple(map(*args))
-    exhausted = any(rec.error == REPAIR_EXHAUSTED for rec in records)
+    exhausted = any(rec.error in (REPAIR_EXHAUSTED, CERTIFY_EXHAUSTED) for rec in records)
     return SweepResult(records=records, budget_exhausted=exhausted, elapsed=time.perf_counter() - start)
 
 

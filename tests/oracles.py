@@ -8,7 +8,7 @@ instances.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -79,6 +79,44 @@ def brute_chromatic(g: Graph) -> int:
             if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges()):
                 return q
         q += 1
+
+
+def _unprojected_bron_kerbosch(adj: list[int], r: int, p: int, x: int) -> Iterator[int]:
+    # Pivoted Bron-Kerbosch on the full-width rows: the pivot is the first
+    # vertex of P ∪ X, in id order, with the largest cover of P.
+    if p == 0 and x == 0:
+        yield r
+        return
+    best_cover = -1
+    full = p.bit_count()
+    pivot_adj = 0
+    scan = p | x
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        u = low.bit_length() - 1
+        cover = (p & adj[u]).bit_count()
+        if cover > best_cover:
+            best_cover = cover
+            pivot_adj = adj[u]
+            if cover == full:
+                break
+    cand = p & ~pivot_adj
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        yield from _unprojected_bron_kerbosch(adj, r | low, p & adj[v], x & adj[v])
+        p &= ~low
+        x |= low
+
+
+def reference_maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
+    """The maximal cliques of g inside the vertex bitset `members`, by the
+    pivoted search with every outside vertex in X as a full-width row. The
+    library's projected search must yield the same cliques in the same
+    order."""
+    return _unprojected_bron_kerbosch(g.adj, 0, members, g.all_bits & ~members)
 
 
 def _dominating_dfs(adj: list[int], wb: int, outside: int, k_max: int) -> Optional[int]:

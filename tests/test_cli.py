@@ -216,6 +216,16 @@ class TestSweepCompare:
         run(["sweep", "--config", cfg, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_spent_certify_budget_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "n": [60], "p": [0.3], "procedures": ["certify"], "trials": 2,
+            "relax": 0.25, "certify_budget": 0,
+        }))
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert out.read_text().count("budget exhausted in certify") == 2
+
     def test_bad_config_is_invalid_input(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"version": 1, "n": [], "p": [0.2]}))

@@ -1,6 +1,7 @@
 """Maximal-clique enumeration, maximality tests, extension, dominating search."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,11 @@ from cliquechrom.cliques import (
     is_maximal_clique,
     maximal_cliques_within,
 )
+from cliquechrom.coloring import color_classes
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
+from cliquechrom.upper import _color
 
-from oracles import _dominating_dfs, brute_maximal_cliques
+from oracles import _dominating_dfs, brute_maximal_cliques, reference_maximal_cliques_within
 
 
 def complete(n):
@@ -48,6 +51,64 @@ class TestEnumeration:
             assert len(cliques) == len(set(cliques))
             for k in cliques:
                 assert is_maximal_clique(g, k)
+
+
+# Sequences are compared on their first _ORDER_CAP + 1 cliques: dense draws
+# such as n = 60, p = 0.95 hold about 8 * 10^5 maximal cliques.
+_ORDER_CAP = 20_000
+
+
+def assert_same_order(g, members):
+    ours = list(islice(maximal_cliques_within(g, members), _ORDER_CAP + 1))
+    assert ours == list(islice(reference_maximal_cliques_within(g, members), _ORDER_CAP + 1))
+    return ours
+
+
+class TestProjectedOrder:
+    """`maximal_cliques_within` gates, projects and deduplicates before it
+    searches; it must yield the unprojected search's cliques in its order,
+    since repair keeps the first offending clique of each class."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=60),
+        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_sequence_as_the_unprojected_search(self, data, n, p, seed):
+        g = sample_gnp(n, p, seed)
+        members = data.draw(st.integers(min_value=0, max_value=2**n - 1)) << 1
+        assert_same_order(g, members)
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (12, 0.0), (12, 1.0), (30, 0.3), (40, 0.7)])
+    def test_empty_full_and_singleton_member_sets(self, n, p):
+        g = sample_gnp(n, p, seed=n)
+        assert assert_same_order(g, 0) == []
+        assert assert_same_order(g, g.all_bits)
+        for v in range(1, n + 1):
+            assert_same_order(g, 1 << v)
+
+    def test_class_dominated_by_an_outside_vertex(self):
+        g = sample_gnp(40, 0.4, seed=3)
+        for v in range(1, 41):
+            assert assert_same_order(g, g.adj[v]) == []
+
+    @pytest.mark.parametrize("n,p,seed", [(100, 0.2, 1), (130, 0.3, 2), (160, 0.5, 3)])
+    def test_classes_wider_than_64_bits(self, n, p, seed):
+        g = sample_gnp(n, p, seed)
+        pick = random.Random(seed)
+        members = sum(1 << v for v in range(1, n + 1) if pick.random() < 0.75)
+        assert members.bit_count() > 64
+        assert assert_same_order(g, members)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_upper_sweep_color_classes(self, p):
+        g = sample_gnp(10_000, p, seed=2403)
+        for variant in "AB":
+            coloring, _ = _color(g, p, variant)
+            for _, members in color_classes(g, coloring):
+                assert_same_order(g, members)
 
 
 class TestNetworkxCrossCheck:

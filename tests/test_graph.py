@@ -145,6 +145,18 @@ class TestEdgeListFormat:
         buf.seek(0)
         assert read_edge_list(buf) == g
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=30))
+    def test_matches_the_validating_constructor(self, data, n):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        edges = data.draw(st.permutations(pairs).map(lambda ps: ps[: data.draw(st.integers(0, len(ps)))]))
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        adj = [0] * (n + 1)
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert read_edge_list(io.StringIO(text)) == Graph(n, adj)
+
     def test_huge_edgeless_header_reads_in_linear_time(self, tmp_path):
         # A quadratic validation pass would take minutes at n = 10^6.
         path = tmp_path / "huge.edges"

@@ -10,6 +10,7 @@ from cliquechrom import harness, upper
 from cliquechrom.coloring import BudgetExceeded
 from cliquechrom.harness import (
     RECORD_COLUMNS,
+    CERTIFY_EXHAUSTED,
     REPAIR_EXHAUSTED,
     ExperimentRecord,
     SweepConfig,
@@ -149,6 +150,15 @@ class TestSweepControl:
         cfg = tiny_config(n_grid=(40,), procedures=("B",), master_seed=1, repair_budget=0)
         result = run_sweep(cfg)
         assert result.records[0].error == REPAIR_EXHAUSTED
+        assert result.budget_exhausted
+
+    def test_certify_exhaustion_flags_the_sweep(self):
+        cfg = tiny_config(
+            n_grid=(60,), p_grid=(0.3,), procedures=("certify",), trials=2, relax=0.25, certify_budget=0
+        )
+        result = run_sweep(cfg)
+        assert [rec.error for rec in result.records] == [CERTIFY_EXHAUSTED] * 2
+        assert all(rec.valid is None and rec.certificate_found is False for rec in result.records)
         assert result.budget_exhausted
 
     def test_search_budget_error_is_not_repair_exhaustion(self, monkeypatch):
