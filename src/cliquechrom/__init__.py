@@ -32,7 +32,6 @@ from .params import (
     class_count,
     lambda_report,
     janson_exponent,
-    janson_pair_sum_bound,
     inequality_check,
     predicted_bounds,
 )
@@ -41,9 +40,6 @@ from .lowerbound import (
     select_useful_class,
     pseudo_partition,
     validate_witness,
-    classify_and_count,
-    enumerate_candidates,
-    check_density_events,
     certify,
     PartitionError,
     PartitionWitness,

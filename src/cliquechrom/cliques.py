@@ -133,7 +133,9 @@ def enumerate_maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
 
 def maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
     """Bitsets of the cliques that are maximal in g and contained in the
-    vertex bitset `members`."""
+    vertex bitset `members`; raises ValueError for a bit outside [1, n]."""
+    if members & ~g.all_bits:
+        raise ValueError(f"vertex ids must lie in [1, {g.n}]")
     outside = g.all_bits & ~members
     if outside == 0:
         return _bron_kerbosch(g.adj, _NO_OUTSIDE, 0, members, 0, 0)

@@ -19,15 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from .cliques import _dominating_search, extend_to_maximal, is_maximal_clique
 from .coloring import Coloring, color_classes, require_budget
 from .graph import Graph, bits_of, common_non_neighbors, iter_bits
-from .params import ParamSchedule, lambda_report
+from .params import ParamSchedule
 
 __all__ = [
     "is_useful",
@@ -37,11 +34,6 @@ __all__ = [
     "PartitionError",
     "pseudo_partition",
     "validate_witness",
-    "CandidateReport",
-    "classify_and_count",
-    "enumerate_candidates",
-    "DensityReport",
-    "check_density_events",
     "CertifyReport",
     "certify",
 ]
@@ -307,182 +299,6 @@ def validate_witness(g: Graph, pw: PartitionWitness) -> None:
     for i, u in enumerate(pw.l_set):
         if any(g.has_edge(u, x) for x in pw.b_sets[i]):
             raise AssertionError(f"Γ(u_{i+1}) meets B_{i+1}")
-
-
-# -- Candidate classification -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateReport:
-    size_cplus: int
-    x_set: frozenset[int]
-    y_set: frozenset[int]
-    z_set: frozenset[int]
-    bad_x: int
-    bad_y: int
-    bad_z: int
-    bad_fraction: float
-    surviving_fraction: float
-    lambda_ratio: float
-
-    @property
-    def bad_total(self) -> int:
-        return self.bad_x + self.bad_y + self.bad_z
-
-
-def classify_and_count(
-    g: Graph, w: Iterable[int], pw: PartitionWitness, sch: ParamSchedule
-) -> CandidateReport:
-    """Split V \\ (W ∪ L) into X/Y/Z by the r_1 p degree thresholds and count
-    candidate spoilage exactly.
-
-    The bad count accumulates, per outside vertex v, the number of candidate
-    sets inside its neighborhood: C(deg_A(v), k-m) * prod_i deg_{B_i}(v).
-    This is the union-bound pair count the analytic Lambda ratio bounds.
-    """
-    wb = g.bits(w)
-    ab = bits_of(pw.a_set)
-    bbs = [bits_of(bs) for bs in pw.b_sets]
-    lb = bits_of(pw.l_set)
-    rest = g.all_bits & ~wb & ~lb
-    k, m = sch.k, sch.m
-    km = k - m
-    r1p = sch.r(1) * sch.p
-
-    x_set, y_set, z_set = set(), set(), set()
-    bad = {"x": 0, "y": 0, "z": 0}
-    for v in iter_bits(rest):
-        deg_a = (g.adj[v] & ab).bit_count()
-        degs_b = [(g.adj[v] & bb).bit_count() for bb in bbs]
-        if deg_a >= r1p * pw.a:
-            bucket = "x"
-            x_set.add(v)
-        elif any(db >= r1p * pw.b for db in degs_b):
-            bucket = "y"
-            y_set.add(v)
-        else:
-            bucket = "z"
-            z_set.add(v)
-        spoiled = math.comb(deg_a, km)
-        for db in degs_b:
-            spoiled *= db
-        bad[bucket] += spoiled
-
-    size_cplus = math.comb(pw.a, km) * pw.b**m
-    total_bad = bad["x"] + bad["y"] + bad["z"]
-    frac = total_bad / size_cplus if size_cplus else math.inf
-    return CandidateReport(
-        size_cplus=size_cplus,
-        x_set=frozenset(x_set),
-        y_set=frozenset(y_set),
-        z_set=frozenset(z_set),
-        bad_x=bad["x"],
-        bad_y=bad["y"],
-        bad_z=bad["z"],
-        bad_fraction=frac,
-        surviving_fraction=max(0.0, 1.0 - frac),
-        lambda_ratio=lambda_report(sch).lam,
-    )
-
-
-def enumerate_candidates(pw: PartitionWitness, k: int) -> Iterator[frozenset[int]]:
-    """Materialize the candidate family: k-sets with k-m vertices in A and
-    one in each B_i. Only sensible on small instances."""
-    km = k - pw.m
-    a_sorted = sorted(pw.a_set)
-    b_sorted = [sorted(bs) for bs in pw.b_sets]
-    for core in combinations(a_sorted, km):
-        for picks in product(*b_sorted):
-            yield frozenset(core + picks)
-
-
-# -- Density events -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    applicable: bool
-    u_size: int
-    level_ok: bool
-    level_violations: tuple[int, ...]
-    alpha_ok: Optional[bool]  # m >= 2 only
-    alpha_count: Optional[int]
-    harmonic_ok: Optional[bool]  # m = 1 only
-    harmonic_violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.level_ok
-            and (self.alpha_ok is not False)
-            and (self.harmonic_ok is not False)
-        )
-
-
-def check_density_events(
-    g: Graph, w: Iterable[int], u: Iterable[int], sch: ParamSchedule
-) -> DensityReport:
-    """Exact counting of the three outside-degree events for U ⊆ W.
-
-    (level)    for each i >= 1 with r_i p <= 1: at most x_i outside vertices
-               have >= r_i p |U| neighbors in U;
-    (alpha)    m >= 2: at most m outside vertices have >= alpha |U| neighbors;
-    (harmonic) m = 1: for 1 <= j <= 9 log n, at most j outside vertices have
-               >= (1/(j+1) + 1/log^3 n)|U| neighbors.
-
-    Sets smaller than ell_0/log^2(n) are flagged not-applicable but counted
-    anyway.
-    """
-    wb = g.bits(w)
-    ub = bits_of(u)
-    if ub & ~wb:
-        raise ValueError("u must be a subset of w")
-    u_size = ub.bit_count()
-    ln_n = math.log(sch.n)
-    applicable = u_size >= sch.ell0 / ln_n**2
-
-    outside = g.all_bits & ~wb
-    degs = np.sort(
-        np.fromiter(
-            ((g.adj[v] & ub).bit_count() for v in iter_bits(outside)),
-            dtype=np.int64,
-        )
-    )
-    total = degs.size
-
-    def count_at_least(thresholds: np.ndarray) -> np.ndarray:
-        return total - np.searchsorted(degs, thresholds, side="left")
-
-    # Level sets: i >= 1 while r_i p <= 1.
-    level_violations: list[int] = []
-    for i in sch.levels(1, sch.last_index(1.0)):
-        counts = count_at_least(sch.r(i) * sch.p * u_size)
-        level_violations.extend(int(ii) for ii in i[counts > sch.x(i)])
-
-    alpha_ok = alpha_count = None
-    harmonic_ok: Optional[bool] = None
-    harmonic_violations: tuple[int, ...] = ()
-    if sch.m >= 2:
-        alpha_count = int(count_at_least(np.array([sch.alpha * u_size]))[0])
-        alpha_ok = alpha_count <= sch.m
-    else:
-        j_max = math.floor(9 * ln_n)
-        j = np.arange(1, j_max + 1, dtype=np.int64)
-        thresholds = (1.0 / (j + 1.0) + 1.0 / ln_n**3) * u_size
-        counts = count_at_least(thresholds)
-        harmonic_violations = tuple(int(jj) for jj in j[counts > j])
-        harmonic_ok = not harmonic_violations
-
-    return DensityReport(
-        applicable=applicable,
-        u_size=u_size,
-        level_ok=not level_violations,
-        level_violations=tuple(level_violations),
-        alpha_ok=alpha_ok,
-        alpha_count=alpha_count,
-        harmonic_ok=harmonic_ok,
-        harmonic_violations=harmonic_violations,
-    )
 
 
 # -- End-to-end certification -----------------------------------------------------------

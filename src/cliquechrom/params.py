@@ -6,11 +6,10 @@ r_i = e^{zeta*i} and x_i = log(n)/(phi(r_i - 1) p), the Lambda/Pi bound on
 the fraction of spoiled clique candidates, the Janson exponent lower bounds,
 and the leading-order predictions for the clique chromatic number.
 
-The level series has one home, `ParamSchedule`: `r`, `rate` and `x` give
-r_i, phi(r_i - 1) p and x_i for an index or an index array, `last_index`
-the last level with p r_i under a cutoff, and `levels` walks the indices
-in chunks. The Pi sums, the density-series minimum and
-`lowerbound.check_density_events` are all built from these.
+The level series has one home, `ParamSchedule`: `rate` gives
+phi(r_i - 1) p for an index or an index array, `last_index` the last level
+with p r_i under a cutoff, and `levels` walks the indices in chunks. The Pi
+sums and the density-series minimum are both built from these.
 
 All powers are assembled in log-space, so nothing over- or underflows even
 for n around 1e300; scalar quantities use numpy's extended-precision long
@@ -46,7 +45,6 @@ __all__ = [
     "lambda_report",
     "JansonExponents",
     "janson_exponent",
-    "janson_pair_sum_bound",
     "InequalityReport",
     "inequality_check",
     "Prediction",
@@ -67,6 +65,8 @@ def _check_cell(n: float, p: float) -> None:
         raise ValueError(f"n must be finite, got {n!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if math.isinf(1.0 / p):
+        raise ValueError(f"p={p!r} is too small: 1/p overflows")
 
 
 def phi(x: float) -> float:
@@ -85,8 +85,11 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 
 def class_count(n: float, p: float, delta: float) -> int:
-    """s = floor(delta * log_{1/(1-p)}(n))."""
-    return math.floor(delta * math.log(n) / -math.log1p(-p))
+    """s = floor(delta * log_{1/(1-p)}(n)); ValueError when that overflows."""
+    try:
+        return math.floor(delta * math.log(n) / -math.log1p(-p))
+    except OverflowError:
+        raise ValueError(f"class count overflows at p={p!r}") from None
 
 
 def _tau(n: float, p: float, delta: float) -> float:
@@ -126,19 +129,9 @@ class ParamSchedule:
     delta_clamped: bool = False
     delta_raw: float = field(default=math.nan)
 
-    def r(self, i):
-        """r_i = e^(zeta i), for an index or a float64 index array."""
-        return np.exp(self.zeta * i)
-
     def rate(self, i):
         """phi(r_i - 1) p at level i (an index or a float64 index array)."""
         return _phi(np.expm1(self.zeta * i)) * self.p
-
-    def x(self, i):
-        """x_i = log(n) / (phi(r_i - 1) p)."""
-        rate = self.rate(i)
-        # In rate's own array: one chunk-sized temporary fewer, fewer page faults.
-        return np.divide(math.log(self.n), rate, out=rate if np.ndim(rate) else None)
 
     def last_index(self, cutoff: float) -> int:
         """The last level i with p r_i <= cutoff; 0 when no level i >= 1 has it."""
@@ -146,9 +139,9 @@ class ParamSchedule:
             return 0
         return math.floor((math.log(cutoff) - math.log(self.p)) / self.zeta)
 
-    def levels(self, first: int, last: int, reverse: bool = False) -> Iterator[np.ndarray]:
-        """The indices first..last as float64 chunks of at most 2^20, in
-        order or reversed; refuses a walk too long to sum directly."""
+    def levels(self, last: int, reverse: bool = False) -> Iterator[np.ndarray]:
+        """The indices 2..last as float64 chunks of at most 2^20, in order or
+        reversed; refuses a walk too long to sum directly."""
         # The series has ~log^4(n) log(1/p) terms; around ln(n) > 200 with
         # small p that stops being directly summable in reasonable time.
         if last > _TERM_LIMIT:
@@ -156,7 +149,7 @@ class ParamSchedule:
                 f"level series has {last} terms; direct summation is infeasible "
                 "at this (n, p)"
             )
-        starts = range(first, last + 1, _CHUNK)
+        starts = range(2, last + 1, _CHUNK)
         return (
             np.arange(lo, min(lo + _CHUNK, last + 1), dtype=np.float64)
             for lo in (reversed(starts) if reverse else starts)
@@ -295,10 +288,14 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
     `reverse` reverses both orders (a numerical self-check) and skips the
     minimum of ceil(x_i)(phi(r_i - 1) p - log^3(n)/ell0) over i >= 1 with
     r_i p <= 1, which is nan when skipped, too long to walk or ell0 <= 0.
+    Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1).
     """
     ln_n = math.log(sch.n)
     km = sch.k - sch.m
-    step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
+    try:
+        step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
+    except OverflowError:
+        raise ValueError(f"level series step e^(zeta (k-m)) overflows at k-m={km}") from None
     lasts = (sch.last_index(sch.alpha), sch.last_index(1.0 / ln_n))
     dens_last = sch.last_index(1.0)
     best = math.nan
@@ -309,13 +306,14 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
         rate = sch.rate(np.ones(min(dens_last, 1)))  # level 1, if any
         best = float(np.min(np.ceil(ln_n / rate) * (rate - correction), initial=math.inf))
     totals = [0.0, 0.0]
-    for i in sch.levels(2, max(*lasts, dens_last), reverse):
+    for i in sch.levels(max(*lasts, dens_last), reverse):
         lo = int(i[0])
         rate = sch.rate(i)
         if dens_last >= lo:
             d = dens_last - lo + 1
             best = min(best, float((np.ceil(ln_n / rate[:d]) * (rate[:d] - correction)).min()))
-        x = np.divide(ln_n, rate, out=rate)  # in place, as `ParamSchedule.x` does
+        # x_i in rate's own array: one chunk-sized temporary fewer, fewer page faults.
+        x = np.divide(ln_n, rate, out=rate)
         top = max(max(lasts) - lo + 1, 0)
         terms = x[:top] * np.exp(km * (math.log(sch.p) + sch.zeta * i[:top])) * step
         for j, last in enumerate(lasts):
@@ -394,34 +392,6 @@ def janson_exponent(sch: ParamSchedule, a: int, b: int) -> JansonExponents:
         dense_i = log_a + (k - 1) * log_b + comb(k, 2) * ln_p - log_k2
         improved = float(quarter_nu * np.exp(np.minimum(sparse_i, dense_i)))
     return JansonExponents(general=general, improved=improved)
-
-
-def janson_pair_sum_bound(sch: ParamSchedule, a: int, b: int, size_c: int) -> float:
-    """Closed-form upper assembly of mu + Delta over candidate pairs:
-
-        sum over overlaps r = x + y in [2, k] of
-        size_c * C(k-m, x) * C(a-(k-m), (k-m)-x) * C(m, y) * b^(m-y)
-               * p^(2 C(k,2) - C(r,2)).
-
-    Dominates the exact pair sum  sum_{|J cap K| >= 2} p^{2C(k,2) - C(r,2)}.
-    """
-    k, m, p = sch.k, sch.m, sch.p
-    km = k - m
-    total = 0.0
-    for r in range(2, k + 1):
-        for y in range(0, min(m, r) + 1):
-            x = r - y
-            if not 0 <= x <= km:
-                continue
-            total += (
-                size_c
-                * comb(km, x)
-                * comb(max(a - km, 0), km - x)
-                * comb(m, y)
-                * b ** (m - y)
-                * p ** (2 * comb(k, 2) - comb(r, 2))
-            )
-    return total
 
 
 # -- Inequality system ----------------------------------------------------------

@@ -112,12 +112,13 @@ def _leftover_window_ok(n: int, delta: float, leftover: int) -> bool:
 
 def _split_blocks(items: tuple[int, ...], z: int) -> list[list[int]]:
     """Split into z contiguous blocks in the given order, sizes as equal as
-    possible (never exceeding 2 len/z for len >= z)."""
+    possible (never exceeding 2 len/z for len >= z); the empty blocks of
+    z > len are not built, as z = ceil(4/p) can be astronomical."""
     blocks: list[list[int]] = []
     total = len(items)
     base, extra = divmod(total, z)
     at = 0
-    for i in range(z):
+    for i in range(min(z, total)):
         width = base + (1 if i < extra else 0)
         blocks.append(list(items[at : at + width]))
         at += width
@@ -135,7 +136,7 @@ def _color(
         if g.n < 1:
             raise ValueError("variant A needs a graph with at least 1 vertex")
         delta, raw, clamped = _variant_a_delta(g.n, p)
-        z = math.ceil(4.0 / p)
+        blocks = 4.0 / p
     elif variant == "B":
         if g.n < 2:
             raise ValueError("variant B needs a graph with at least 2 vertices (log n > 0)")
@@ -146,9 +147,12 @@ def _color(
             raise ValueError("epsilon must be positive (p must exceed n^(-2/5))")
         raw = 2.5 * epsilon
         delta, clamped = clamp_delta(raw)
-        z = math.ceil(8.0 / (p * math.sqrt(ln_n)))
+        blocks = 8.0 / (p * math.sqrt(ln_n))
     else:
         raise ValueError(f"unknown variant {variant!r} (expected 'A' or 'B')")
+    if math.isinf(blocks):
+        raise ValueError("p is too small: the block count z overflows")
+    z = math.ceil(blocks)
     s = min(max(class_count(g.n, p, delta), 0), g.n)
 
     phase = greedy_phase(g, s)

@@ -24,13 +24,11 @@ from cliquechrom.harness import SweepConfig, run_sweep, write_records
 from cliquechrom.lowerbound import (
     PartitionError,
     certify,
-    enumerate_candidates,
     pseudo_partition,
 )
 from cliquechrom.params import (
     build_schedule,
     class_count,
-    janson_pair_sum_bound,
     lambda_report,
 )
 from cliquechrom.upper import procedure_A, repair
@@ -192,34 +190,6 @@ def test_06_pseudo_partition_postconditions():
         bad == 0 and failure_rate <= 0.74,
         f"({witnesses} witnesses, {bad} bad, attempt-failure rate {failure_rate:.3f})",
     )
-
-
-def test_07_janson_assembly_dominance():
-    instances = 0
-    seed = 0
-    worst = math.inf
-    while instances < 50:
-        seed += 1
-        sch = build_schedule(30, 0.3)
-        assert (sch.m, sch.k) == (1, 3)
-        g = sample_gnp(30, 0.3, seed=70_000 + seed)
-        w = set(range(1, 13))
-        try:
-            pw = pseudo_partition(g, w, sch, seed=seed, relax=0.5)
-        except PartitionError:
-            continue
-        cands = list(enumerate_candidates(pw, sch.k))
-        kk2 = 2 * math.comb(sch.k, 2)
-        pair_sum = sum(
-            sch.p ** (kk2 - math.comb(len(k1 & k2), 2))
-            for k1 in cands
-            for k2 in cands
-            if len(k1 & k2) >= 2
-        )
-        bound = janson_pair_sum_bound(sch, pw.a, pw.b, len(cands))
-        worst = min(worst, bound - pair_sum * (1.0 - 1e-12))
-        instances += 1
-    _report(7, "janson-assembly", worst >= 0.0, f"(50 instances, worst margin {worst:.3e})")
 
 
 def test_08_lambda_self_consistency():

@@ -1,11 +1,17 @@
-"""End-to-end CLI behavior and exit codes."""
+"""End-to-end CLI behavior and exit codes, and the package's exports."""
 
+import ast
+import importlib
 import json
+import math
+import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliquechrom
 from cliquechrom.cli import main
@@ -285,3 +291,85 @@ class TestOutOfMemory:
         proc = self.run_capped(["validate", "--graph", graph, "--coloring", colors])
         self.check_invalid(proc)
         assert proc.stderr == "error: MemoryError\n"
+
+
+def exit_code(args):
+    """The exit code of `cliquechrom ARGS` run in-process. argparse's usage
+    errors raise SystemExit(2); SystemExit with a message exits 1."""
+    try:
+        return main([str(a) for a in args])
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+
+
+# p near 0, near 1, in between, and just outside [0, 1]
+PROBABILITIES = st.one_of(
+    st.floats(min_value=1.0, max_value=40.0).map(lambda e: 10.0**-e),
+    st.floats(min_value=1.0, max_value=17.0).map(lambda e: 1.0 - 10.0**-e),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0, -0.5, 1.5]),
+)
+
+
+class TestExitCodes:
+    """Every command exits 0, 1 or 2, and no exception but SystemExit escapes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.floats(min_value=math.log10(3), max_value=6.0).map(lambda e: 10.0**e),
+        p=PROBABILITIES,
+        epsilon=st.one_of(
+            st.sampled_from([0.0, -1.0, 1.0, 1e300, math.nan, math.inf, -math.inf]),
+            st.floats(min_value=-2.0, max_value=2.0),
+        ),
+    )
+    def test_params(self, n, p, epsilon):
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp) / "params.json"
+            args = ["params", "--n", repr(n), "--p", repr(p), f"--epsilon={epsilon!r}", "--report", report]
+            assert exit_code(args) in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=-1, max_value=12),
+        p=PROBABILITIES,
+        seed=st.integers(min_value=-1, max_value=2**32),
+        budget=st.integers(min_value=-1, max_value=200),
+        colors=st.lists(st.integers(min_value=0, max_value=3), max_size=13),
+        epsilon=st.sampled_from([None, 0.0, 0.05, -1.0, math.nan]),
+    )
+    def test_graph_commands(self, n, p, seed, budget, colors, epsilon):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            graph, coloring, report = tmp / "g.edges", tmp / "c.colors", tmp / "r.json"
+            coloring.write_text("".join(f"{v} {c}\n" for v, c in enumerate(colors, start=1)))
+            sampled = ["--n", n, "--p", repr(p), "--seed", seed]
+            runs = [
+                ["gen", *sampled, "--out", graph],
+                ["chromatic", "--graph", graph, "--budget", budget],
+                ["chromatic", *sampled, "--budget", budget],
+                ["validate", "--graph", graph, "--coloring", coloring, "--report", report],
+                ["validate", *sampled, "--coloring", coloring, "--report", report],
+            ]
+            for variant in "AB":
+                extra = [] if epsilon is None else [f"--epsilon={epsilon!r}"]
+                runs.append(["color", *sampled, "--variant", variant, "--repair-budget", budget,
+                             "--report", report, "--out", tmp / "out.colors", *extra])
+            for args in runs:
+                assert exit_code(args) in (0, 1, 2), args
+
+
+def test_every_export_resolves():
+    """Each module's __all__ and each name the package re-exports is defined."""
+    for info in pkgutil.iter_modules(cliquechrom.__path__):
+        module = importlib.import_module(f"cliquechrom.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    tree = ast.parse(Path(cliquechrom.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"cliquechrom.{node.module}")
+        for alias in node.names:
+            assert hasattr(source, alias.name), (node.module, alias.name)
+            assert getattr(cliquechrom, alias.asname or alias.name) is getattr(source, alias.name)

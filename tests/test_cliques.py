@@ -14,7 +14,7 @@ from cliquechrom.cliques import (
     is_maximal_clique,
     maximal_cliques_within,
 )
-from cliquechrom.coloring import color_classes
+from cliquechrom.coloring import color_classes, offending_cliques
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
 from cliquechrom.upper import _color
 
@@ -109,6 +109,16 @@ class TestProjectedOrder:
             coloring, _ = _color(g, p, variant)
             for _, members in color_classes(g, coloring):
                 assert_same_order(g, members)
+
+
+class TestMemberRange:
+    @pytest.mark.parametrize("members", [1, 0b11, 1 << 11, -2], ids=["bit0", "bit0-and-1", "bit-n+1", "negative"])
+    @pytest.mark.parametrize("entry", [maximal_cliques_within, offending_cliques])
+    def test_bits_outside_the_vertex_range_raise(self, entry, members):
+        # bit 0 once yielded the clique {0}, and bit n + 1 an IndexError
+        g = sample_gnp(10, 0.5, seed=1)
+        with pytest.raises(ValueError, match=r"\[1, 10\]"):
+            entry(g, members)
 
 
 class TestNetworkxCrossCheck:

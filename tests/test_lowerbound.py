@@ -1,4 +1,4 @@
-"""Useful classes, pseudo-partitions, candidate counting, certification."""
+"""Useful classes, pseudo-partitions, certification."""
 
 import math
 import random
@@ -11,15 +11,12 @@ from cliquechrom.graph import Graph, common_non_neighbors, sample_gnp
 from cliquechrom.lowerbound import (
     PartitionError,
     certify,
-    check_density_events,
-    classify_and_count,
-    enumerate_candidates,
     is_useful,
     pseudo_partition,
     select_useful_class,
     validate_witness,
 )
-from cliquechrom.params import build_schedule, janson_pair_sum_bound, make_schedule
+from cliquechrom.params import build_schedule, make_schedule
 
 
 def complete(n):
@@ -53,12 +50,10 @@ class TestVertexIds:
     N = 60
     W = list(range(1, 31))
     ENTRY_POINTS = {
-        "is_useful": lambda g, sch, pw, w: is_useful(g, w, sch),
-        "pseudo_partition": lambda g, sch, pw, w: pseudo_partition(g, w, sch, seed=1, relax=0.5),
-        "find_clique_dominating_outside": lambda g, sch, pw, w: find_clique_dominating_outside(g, w),
-        "common_non_neighbors": lambda g, sch, pw, w: common_non_neighbors(g, w),
-        "check_density_events": lambda g, sch, pw, w: check_density_events(g, w, w[:10] + w[-1:], sch),
-        "classify_and_count": lambda g, sch, pw, w: classify_and_count(g, w, pw, sch),
+        "is_useful": lambda g, sch, w: is_useful(g, w, sch),
+        "pseudo_partition": lambda g, sch, w: pseudo_partition(g, w, sch, seed=1, relax=0.5),
+        "find_clique_dominating_outside": lambda g, sch, w: find_clique_dominating_outside(g, w),
+        "common_non_neighbors": lambda g, sch, w: common_non_neighbors(g, w),
     }
 
     @pytest.mark.parametrize("bad", [0, N + 1])
@@ -66,11 +61,10 @@ class TestVertexIds:
     def test_out_of_range_id_raises(self, entry, bad):
         g = sample_gnp(self.N, 0.3, seed=6)
         sch = build_schedule(self.N, 0.3)
-        pw = pseudo_partition(g, self.W, sch, seed=1, relax=0.5)
         call = self.ENTRY_POINTS[entry]
-        call(g, sch, pw, self.W)  # in-range ids are accepted
+        call(g, sch, self.W)  # in-range ids are accepted
         with pytest.raises(ValueError):
-            call(g, sch, pw, self.W + [bad])
+            call(g, sch, self.W + [bad])
 
 
 class TestIsUseful:
@@ -178,137 +172,15 @@ class TestPseudoPartition:
         with pytest.raises(ValueError):
             pseudo_partition(g, range(1, 11), sch, seed=0, relax=0.5)
 
-
-class TestClassifyAndCount:
-    def _small_instance(self, seed):
-        sch = build_schedule(30, 0.3)
-        assert (sch.m, sch.k) == (1, 3)
-        g = sample_gnp(30, 0.3, seed=seed)
-        w = set(range(1, 13))
-        pw = pseudo_partition(g, w, sch, seed=seed + 1, relax=0.5)
-        return g, w, pw, sch
-
-    def test_edgeless_everything_in_z(self):
-        g = Graph.from_edges(30, [])
-        sch = build_schedule(30, 0.3)
-        w = set(range(1, 13))
-        pw = pseudo_partition(g, w, sch, seed=0, relax=0.5)
-        rep = classify_and_count(g, w, pw, sch)
-        assert rep.x_set == rep.y_set == frozenset()
-        assert rep.z_set == frozenset(range(13, 31)) - set(pw.l_set)
-        assert rep.bad_total == 0
-        assert rep.size_cplus == math.comb(pw.a, sch.k - sch.m) * pw.b**sch.m
-
     def test_dominating_outsider_becomes_u1(self):
-        # vertex 20 adjacent to almost all of W: it tops the degree order,
-        # joins L (so B_1 dodges its neighborhood), and contributes no bad
-        # candidates despite dominating every A-core
+        # vertex 20 adjacent to almost all of W: it tops the degree order and
+        # joins L, so B_1 dodges its neighborhood
         edges = [(v, 20) for v in range(1, 10)]
         g = Graph.from_edges(30, edges)
         sch = build_schedule(30, 0.3)
-        w = set(range(1, 13))
-        pw = pseudo_partition(g, w, sch, seed=1, relax=0.2)
+        pw = pseudo_partition(g, set(range(1, 13)), sch, seed=1, relax=0.2)
         assert pw.high_degree_order[0] == 20
         assert not any(g.has_edge(20, x) for x in pw.b_sets[0])
-        rep = classify_and_count(g, w, pw, sch)
-        assert rep.bad_total == 0
-
-    def test_exact_count_matches_brute_force(self):
-        for seed in range(10):
-            g, w, pw, sch = self._small_instance(seed + 40)
-            rep = classify_and_count(g, w, pw, sch)
-            outside = set(range(1, 31)) - w - set(pw.l_set)
-            brute = sum(
-                1
-                for K in enumerate_candidates(pw, sch.k)
-                for v in outside
-                if all(g.has_edge(v, u) for u in K)
-            )
-            assert rep.bad_total == brute
-            assert rep.x_set | rep.y_set | rep.z_set == frozenset(outside)
-            assert not (rep.x_set & rep.y_set or rep.y_set & rep.z_set or rep.x_set & rep.z_set)
-
-    def test_lambda_bounds_bad_fraction_when_premises_hold(self):
-        # Conditional invariant: bad_count <= Lambda * |C+| whenever the whole
-        # inequality system passes. No desk-scale schedule satisfies it (the
-        # x_1 ~ log^9(n)/p term alone pushes Lambda past 1 for any n a graph
-        # can be sampled at), so the assertion is checked where the premise
-        # holds and the vacuity is made explicit rather than hidden.
-        from cliquechrom.params import inequality_check, lambda_report
-
-        applicable = 0
-        for seed in range(8):
-            g, w, pw, sch = self._small_instance(seed + 200)
-            rep = classify_and_count(g, w, pw, sch)
-            flags = inequality_check(sch, lambda_report(sch))
-            if flags.all_pass:
-                applicable += 1
-                assert rep.bad_total <= rep.lambda_ratio * rep.size_cplus
-        assert applicable == 0  # desk-scale premise is vacuous; see ledger
-
-    def test_pair_sum_assembly_dominates(self):
-        # mu + Delta assembly vs the explicit double loop over candidates
-        for seed in range(6):
-            g, w, pw, sch = self._small_instance(seed + 80)
-            cands = list(enumerate_candidates(pw, sch.k))
-            kk2 = 2 * math.comb(sch.k, 2)
-            pair_sum = sum(
-                sch.p ** (kk2 - math.comb(len(k1 & k2), 2))
-                for k1 in cands
-                for k2 in cands
-                if len(k1 & k2) >= 2
-            )
-            bound = janson_pair_sum_bound(sch, pw.a, pw.b, len(cands))
-            assert bound >= pair_sum * (1.0 - 1e-12)
-
-
-class TestDensityEvents:
-    def test_edgeless_all_pass(self):
-        g = Graph.from_edges(20, [])
-        sch = build_schedule(20, 0.3)
-        rep = check_density_events(g, range(1, 11), range(1, 11), sch)
-        assert rep.ok and rep.level_ok
-
-    def test_rejects_u_outside_w(self):
-        g = Graph.from_edges(10, [])
-        sch = build_schedule(10, 0.3)
-        with pytest.raises(ValueError):
-            check_density_events(g, {1, 2}, {3}, sch)
-
-    def test_harmonic_event_catches_heavy_vertices(self):
-        # two outside vertices adjacent to more than half of U violate j = 1
-        w = set(range(1, 11))
-        edges = [(v, 11) for v in range(1, 11)] + [(v, 12) for v in range(1, 11)]
-        g = Graph.from_edges(12, edges)
-        sch = build_schedule(12, 0.2)
-        assert sch.m == 1
-        rep = check_density_events(g, w, w, sch)
-        assert 1 in rep.harmonic_violations
-
-    def test_matches_loop_interchanged_recount(self):
-        rng = random.Random(2)
-        for _ in range(12):
-            n = rng.randint(14, 30)
-            g = sample_gnp(n, 0.3, seed=rng.randrange(2**32))
-            sch = build_schedule(n, 0.3)
-            w = set(range(1, n // 2 + 1))
-            u = set(range(1, n // 3 + 1))
-            rep = check_density_events(g, w, u, sch)
-            # oracle: outer loop over vertices, inner over thresholds
-            outside = sorted(set(range(1, n + 1)) - w)
-            degs = [sum(1 for x in u if g.has_edge(v, x)) for v in outside]
-            ln_n = math.log(sch.n)
-            viol = []
-            j = 1
-            while j <= 9 * ln_n:
-                count = 0
-                for d in degs:
-                    if d >= (1.0 / (j + 1) + 1.0 / ln_n**3) * len(u):
-                        count += 1
-                if count > j:
-                    viol.append(j)
-                j += 1
-            assert list(rep.harmonic_violations) == viol
 
 
 class TestCertify:

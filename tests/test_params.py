@@ -15,7 +15,6 @@ from cliquechrom.params import (
     class_count,
     inequality_check,
     janson_exponent,
-    janson_pair_sum_bound,
     lambda_report,
     make_schedule,
     phi,
@@ -87,14 +86,19 @@ class TestBuildSchedule:
 
     def test_series_monotone(self):
         sch = build_schedule(1e4, 0.2)
-        rs = [sch.r(i) for i in range(1, 30)]
+        rs = [np.exp(sch.zeta * i) for i in range(1, 30)]
         assert all(b > a for a, b in zip(rs, rs[1:]))
-        assert all(sch.x(i) > 0 for i in range(1, 30))
+        assert all(math.log(sch.n) / sch.rate(i) > 0 for i in range(1, 30))
 
     def test_rejects_bad_p(self):
-        for p in (0.0, 1.0, -0.2, 1.2):
+        for p in (0.0, 1.0, -0.2, 1.2, 2e-309):  # 1/2e-309 overflows to inf
             with pytest.raises(ValueError):
                 build_schedule(100, p)
+
+    def test_class_count_overflow_is_a_value_error(self):
+        # delta log(n) / p overflows although 1/p does not
+        with pytest.raises(ValueError, match="overflows"):
+            class_count(1e6, 1e-308, 0.5)
 
     @pytest.mark.parametrize("n", [math.inf, math.nan])
     def test_rejects_non_finite_n(self, n):
@@ -155,6 +159,14 @@ class TestLambdaCalculus:
     def test_infeasible_series_is_refused(self):
         with pytest.raises(ValueError, match="series"):
             lambda_report(build_schedule(1e300, 0.3))
+
+    @pytest.mark.parametrize("n,p", [(3, 0.9999), (10, 0.99999)])
+    def test_overflowing_step_is_refused(self, n, p):
+        # p near 1 drives k - m into the thousands, so e^(zeta (k-m)) overflows
+        sch = build_schedule(n, p)
+        for evaluate in (lambda_report, inequality_check):
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate(sch)
 
     def test_counting_flag(self):
         sch = build_schedule(1e4, 0.2)
@@ -303,28 +315,3 @@ class TestPredictedBounds:
         assert "order_log_over_p" in labels_in
         # far below n^(-1/2): everything out of range
         assert not any(b.in_range for b in predicted_bounds(100, 0.05))
-
-
-class TestPairSumAssembly:
-    def test_dominates_handmade_small_case(self):
-        # k = 3, m = 1, a = 3, b = 2: assembly vs an explicit pair sum over
-        # the full candidate family (C(3,2)*2 = 6 candidates)
-        sch = make_schedule(30, 0.3, delta=0.5, m=1, k=3, epsilon=0.005)
-        a, b = 3, 2
-        size_c = math.comb(a, 2) * b
-        from itertools import combinations, product
-
-        cands = [
-            frozenset(core + (pick,))
-            for core in combinations(range(1, a + 1), 2)
-            for pick in product(range(10, 10 + b))
-        ]
-        p = sch.p
-        pair_sum = sum(
-            p ** (2 * 3 - math.comb(len(k1 & k2), 2))
-            for k1 in cands
-            for k2 in cands
-            if len(k1 & k2) >= 2
-        )
-        bound = janson_pair_sum_bound(sch, a, b, size_c)
-        assert bound >= pair_sum * (1.0 - 1e-12)

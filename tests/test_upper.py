@@ -90,6 +90,17 @@ class TestProcedureA:
             ]
             assert max(sizes) <= 2 * rep.leftover / rep.z
 
+    @pytest.mark.parametrize("variant", "AB")
+    def test_overflowing_block_count_is_a_value_error(self, variant):
+        with pytest.raises(ValueError, match="block count"):
+            run(Graph.from_edges(5, []), 1e-308, variant, epsilon=0.1)
+
+    def test_more_blocks_than_leftover_vertices(self):
+        # one vertex a block; the empty blocks color nothing and are not built
+        assert upper._split_blocks((4, 7, 9), 5) == [[4], [7], [9]]
+        assert upper._split_blocks((), 5) == []
+        assert upper._split_blocks((4, 7, 9), 2) == [[4, 7], [9]]
+
     def test_delta_clamp_flagged_at_desk_scale(self):
         _, rep = procedure_A(sample_gnp(200, 0.2, seed=1), 0.2)
         assert rep.delta_clamped and rep.delta == 0.5
