@@ -11,14 +11,20 @@ G(n, p) with n = 10^4, p in {0.1, 0.3} and seed 2403 it times, each alone:
               Bron-Kerbosch pass over every colour class;
   repair      `upper._repair(g, coloring, 1000)`, which enumerates again.
 
-for variants A and B. The graph of each p is sampled once outside the timed
-region of the other stages. Repeats are interleaved (every stage once per
-repeat) so that a drift in the machine's speed spreads over all stages, and
-each stage's times are summarised by perfbench/spread.py's `summarize`
-(median, quartiles, spread). The file also records the machine, the Python
+for variants A and B, and at n in {10^6, 10^12, 10^20} with p = n^-0.3:
+
+  series      `params.build_schedule(n, p)`, then `lambda_report` and
+              `inequality_check` on it: the Lambda/Pi and density series.
+
+The graph of each p is sampled once outside the timed region of the other
+stages. Repeats are interleaved (every stage once per repeat) so that a
+drift in the machine's speed spreads over all stages, and each stage's
+times are summarised by perfbench/spread.py's `summarize` (median,
+quartiles, spread). The file also records the machine, the Python
 and numpy versions, the commit, and each cell's outputs (palette,
-monochromatic cliques before repair, recoloured vertices), so two files
-can be checked for the same behaviour before their times are compared.
+monochromatic cliques before repair, recoloured vertices; every Lambda
+report field and inequality value as `float.hex`), so two files can be
+checked for the same behaviour before their times are compared.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from cliquechrom import upper  # noqa: E402
 from cliquechrom.coloring import monochromatic_maximal_cliques  # noqa: E402
 from cliquechrom.graph import sample_gnp  # noqa: E402
+from cliquechrom.params import build_schedule, inequality_check, lambda_report  # noqa: E402
 from run import environment  # noqa: E402
 from spread import summarize  # noqa: E402
 
@@ -47,7 +55,9 @@ VARIANTS = ("A", "B")
 SEED = 2403
 REPEATS = 7
 REPAIR_BUDGET = 1000
-STAGES = ("sample_gnp", "color", "validity", "repair")
+SERIES_NS = (1e6, 1e12, 1e20)
+SERIES_RHO = 0.3
+STAGES = ("sample_gnp", "color", "validity", "repair", "series")
 
 
 def _timed(fn, *args):
@@ -57,8 +67,15 @@ def _timed(fn, *args):
     return time.perf_counter() - start, out
 
 
-def measure(n: int = N, repeats: int = REPEATS) -> dict:
-    """Run the grid at vertex count n; returns the BENCH document."""
+def _series(n: float, p: float):
+    sch = build_schedule(n, p)
+    lam = lambda_report(sch)
+    return lam, inequality_check(sch, lam)
+
+
+def measure(n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
+    """Run the grid at vertex count n, and the series at each of series_ns;
+    returns the BENCH document."""
     graphs = {p: sample_gnp(n, p, SEED) for p in PS}
     cells = [(p, variant) for p in PS for variant in VARIANTS]
     colorings = {(p, v): upper._color(graphs[p], p, v)[0] for p, v in cells}
@@ -85,9 +102,16 @@ def measure(n: int = N, repeats: int = REPEATS) -> dict:
                 "recolored": list(fixed.recolored),
                 "exhausted": fixed.exhausted,
             }
+        for series_n in series_ns:
+            key = f"n={series_n:g},rho={SERIES_RHO}"
+            seconds, (lam, ineq) = _timed(_series, series_n, series_n**-SERIES_RHO)
+            times["series"].setdefault(key, []).append(seconds)
+            values = {**{k: v for k, v in asdict(lam).items() if isinstance(v, float)}, **ineq.values}
+            outputs[key] = {name: float.hex(value) for name, value in values.items()}
     return {
         "grid": {"n": n, "p": list(PS), "variants": list(VARIANTS), "seed": SEED,
-                 "repeats": repeats, "repair_budget": REPAIR_BUDGET},
+                 "repeats": repeats, "repair_budget": REPAIR_BUDGET,
+                 "series_n": list(series_ns), "series_rho": SERIES_RHO},
         "environment": dict(environment(), machine=platform.machine(), platform=platform.platform(),
                             src_modified=_src_modified()),
         "stages": {stage: {cell: summarize(values) for cell, values in by_cell.items()}
@@ -115,7 +139,7 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for stage, by_cell in doc["stages"].items():
         for cell, row in by_cell.items():
-            print(f"{stage:10s} {cell:10s} median {row['median']:.4f} s  q1 {row['q1']:.4f}  q3 {row['q3']:.4f}")
+            print(f"{stage:10s} {cell:18s} median {row['median']:.4f} s  q1 {row['q1']:.4f}  q3 {row['q3']:.4f}")
     return 0
 
 

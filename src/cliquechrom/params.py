@@ -8,8 +8,13 @@ and the leading-order predictions for the clique chromatic number.
 
 The level series has one home, `ParamSchedule`: `rate` gives
 phi(r_i - 1) p for an index or an index array, `last_index` the last level
-with p r_i under a cutoff, and `levels` walks the indices in chunks. The Pi
-sums and the density-series minimum are both built from these.
+with p r_i under a cutoff, and `levels` splits the indices into chunks of
+2^20. The Pi sums and the density-series minimum are both built from these,
+in one walk: it evaluates each chunk in cache-sized blocks of 2^13 levels,
+into a few buffers allocated once per walk, and collects the chunk's terms
+in one buffer. Each Pi sum still adds one pairwise reduction per chunk, and
+every element sees the same float operations in the same order, so the
+blocks change no bit of the result.
 
 All powers are assembled in log-space, so nothing over- or underflows even
 for n around 1e300; scalar quantities use numpy's extended-precision long
@@ -18,7 +23,9 @@ chunked in float64 (pairwise reduction keeps the error near 1e-15 relative,
 far inside every stated tolerance). Natural logarithms are used throughout.
 The series have ~log^4(n) log(1/p) terms, so evaluation is instantaneous at
 desk scale but `levels` refuses with an error once direct summation would
-stop being feasible (roughly ln(n) > 200 with small p).
+stop being feasible (roughly ln(n) > 200 with small p). The walk also
+refuses p so close to 0 (around 1e-306 and below) that x_1 or the rate at
+the last level overflows float64.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ ALPHA = 4.0 / 5.0
 NU = 1.0 / 10.0
 
 _LD = np.longdouble
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # levels per reduction: the Pi sums add one pairwise sum per chunk
+_BLOCK = 1 << 13  # levels per elementwise pass, sized to stay in cache
 _TERM_LIMIT = 500_000_000
 
 
@@ -76,12 +84,23 @@ def phi(x: float) -> float:
     return float(_phi(np.float64(x)))
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
+def _phi(x, out=None, work=None):
     """Vectorized phi with a series branch: the closed form cancels to
-    O(x^2) for tiny x, so below 1e-4 use x^2 (1/2 - x/6 + x^2/12 - x^3/20)."""
-    naive = (1.0 + x) * np.log1p(np.where(x > -1.0, x, 0.0)) - x
+    O(x^2) for tiny x, so below 1e-4 use x^2 (1/2 - x/6 + x^2/12 - x^3/20).
+
+    `out` and `work` are optional buffers shaped like x (neither may be x):
+    the result lands in `out`, and `work` holds a temporary. The series is
+    evaluated only when some |x| < 1e-4, and selected by that mask."""
+    y = np.log1p(x, out=out)
+    y = np.subtract(np.multiply(np.add(1.0, x, out=work), y, out=out), x, out=out)
+    small = np.abs(x, out=work) < 1e-4
+    if not small.any():
+        return y
     series = x * x * (0.5 - x / 6.0 + x * x / 12.0 - x * x * x / 20.0)
-    return np.where(np.abs(x) < 1e-4, series, naive)
+    if out is None:
+        return np.where(small, series, y)
+    np.copyto(out, series, where=small)
+    return out
 
 
 def class_count(n: float, p: float, delta: float) -> int:
@@ -139,9 +158,9 @@ class ParamSchedule:
             return 0
         return math.floor((math.log(cutoff) - math.log(self.p)) / self.zeta)
 
-    def levels(self, last: int, reverse: bool = False) -> Iterator[np.ndarray]:
-        """The indices 2..last as float64 chunks of at most 2^20, in order or
-        reversed; refuses a walk too long to sum directly."""
+    def levels(self, last: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
+        """The indices 2..last as half-open ranges [lo, hi) of at most 2^20,
+        in order or reversed; refuses a walk too long to sum directly."""
         # The series has ~log^4(n) log(1/p) terms; around ln(n) > 200 with
         # small p that stops being directly summable in reasonable time.
         if last > _TERM_LIMIT:
@@ -150,10 +169,7 @@ class ParamSchedule:
                 "at this (n, p)"
             )
         starts = range(2, last + 1, _CHUNK)
-        return (
-            np.arange(lo, min(lo + _CHUNK, last + 1), dtype=np.float64)
-            for lo in (reversed(starts) if reverse else starts)
-        )
+        return ((lo, min(lo + _CHUNK, last + 1)) for lo in (reversed(starts) if reverse else starts))
 
     def ell1(self, size: int) -> float:
         """The non-neighbor threshold ell_1(W) for a set W of `size` vertices;
@@ -285,10 +301,13 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
     Pi_cutoff sums x_i ((r_{i+1} p)^(k-m) - (r_i p)^(k-m)) over i >= 2 with
     p r_i <= cutoff, in chunks from level 2: each chunk's terms, a prefix
     slice per cutoff, are reduced pairwise and the chunk sums added in order.
+    Within a chunk the levels are evaluated in blocks of _BLOCK, into
+    buffers allocated once per walk; the chunk's terms collect in one buffer.
     `reverse` reverses both orders (a numerical self-check) and skips the
     minimum of ceil(x_i)(phi(r_i - 1) p - log^3(n)/ell0) over i >= 1 with
     r_i p <= 1, which is nan when skipped, too long to walk or ell0 <= 0.
-    Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1).
+    Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1), and
+    when x_1 or the rate at the series' last level overflows (p near 0).
     """
     ln_n = math.log(sch.n)
     km = sch.k - sch.m
@@ -296,6 +315,13 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
         step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
     except OverflowError:
         raise ValueError(f"level series step e^(zeta (k-m)) overflows at k-m={km}") from None
+    # The rate rises with the level and x_i falls, so these two bound every
+    # rate and x_i of the walk, and of _lambda0.
+    with np.errstate(all="ignore"):
+        x1 = ln_n / sch.rate(1.0)
+        top_rate = sch.rate(float(max(sch.last_index(1.0), 1)))
+    if not (np.isfinite(x1) and np.isfinite(top_rate)):
+        raise ValueError(f"level series overflows float64 at p={sch.p!r}")
     lasts = (sch.last_index(sch.alpha), sch.last_index(1.0 / ln_n))
     dens_last = sch.last_index(1.0)
     best = math.nan
@@ -305,19 +331,32 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
         correction = ln_n**3 / sch.ell0
         rate = sch.rate(np.ones(min(dens_last, 1)))  # level 1, if any
         best = float(np.min(np.ceil(ln_n / rate) * (rate - correction), initial=math.inf))
+    top = max(lasts)
+    log_p = math.log(sch.p)
+    ramp = np.arange(_BLOCK, dtype=np.float64)
+    z, x, r, w = (np.empty(_BLOCK) for _ in range(4))
+    terms = np.empty(min(max(top - 1, 0), _CHUNK))
     totals = [0.0, 0.0]
-    for i in sch.levels(max(*lasts, dens_last), reverse):
-        lo = int(i[0])
-        rate = sch.rate(i)
-        if dens_last >= lo:
-            d = dens_last - lo + 1
-            best = min(best, float((np.ceil(ln_n / rate[:d]) * (rate[:d] - correction)).min()))
-        # x_i in rate's own array: one chunk-sized temporary fewer, fewer page faults.
-        x = np.divide(ln_n, rate, out=rate)
-        top = max(max(lasts) - lo + 1, 0)
-        terms = x[:top] * np.exp(km * (math.log(sch.p) + sch.zeta * i[:top])) * step
+    for lo, hi in sch.levels(max(top, dens_last), reverse):
+        for b in range(lo, hi, _BLOCK):
+            size = min(hi - b, _BLOCK)
+            zb, xb, rb, wb = z[:size], x[:size], r[:size], w[:size]
+            np.multiply(np.add(ramp[:size], b, out=zb), sch.zeta, out=zb)  # zeta i; b + ramp is exact
+            np.multiply(_phi(np.expm1(zb, out=xb), out=rb, work=wb), sch.p, out=rb)  # rate(i)
+            np.divide(ln_n, rb, out=xb)  # x_i
+            nt = min(top + 1 - b, size)
+            if nt > 0:
+                seg, zt = terms[b - lo : b - lo + nt], zb[:nt]
+                np.exp(np.multiply(np.add(zt, log_p, out=zt), km, out=zt), out=zt)  # (p r_i)^(k-m)
+                np.multiply(np.multiply(xb[:nt], zt, out=seg), step, out=seg)
+            d = min(dens_last + 1 - b, size)
+            if d > 0:
+                ceil_x = np.ceil(xb[:d], out=zb[:d])
+                dens = np.multiply(ceil_x, np.subtract(rb[:d], correction, out=wb[:d]), out=wb[:d])
+                # Finite x and rate leave no NaN, so the block minima give the chunk's.
+                best = min(best, float(dens.min()))
         for j, last in enumerate(lasts):
-            part = terms[: max(last - lo + 1, 0)]
+            part = terms[: max(min(last + 1, hi) - lo, 0)]
             if part.size:
                 totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
     return totals[0], totals[1], best
@@ -342,8 +381,9 @@ def lambda_report(sch: ParamSchedule, reverse: bool = False) -> LambdaReport:
     case selects enters Lambda. `reverse` flips the summation order of the
     series (a numerical self-check; the result must agree).
     """
-    lambda0 = float(_lambda0(sch))
+    # The walk first: it refuses the cells whose x_1 would overflow _lambda0.
     pi_alpha, pi_invlog, _ = _walk_series(sch, reverse=True) if reverse else sch._series
+    lambda0 = float(_lambda0(sch))
     if sch.m >= 2:
         lam = lambda0 + pi_alpha
     else:

@@ -7,6 +7,7 @@ instances.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterator, Optional
 
@@ -159,3 +160,67 @@ def reference_sample_gnp(n: int, p: float, seed: int) -> Graph:
     for v in range(1, n + 1):
         adj[v] = int.from_bytes(packed[v].tobytes(), "little")
     return Graph._wrap(n, adj)
+
+
+_SERIES_CHUNK = 1 << 20
+_SERIES_TERM_LIMIT = 500_000_000
+
+
+def _reference_phi(x: np.ndarray) -> np.ndarray:
+    naive = (1.0 + x) * np.log1p(np.where(x > -1.0, x, 0.0)) - x
+    series = x * x * (0.5 - x / 6.0 + x * x / 12.0 - x * x * x / 20.0)
+    return np.where(np.abs(x) < 1e-4, series, naive)
+
+
+def _reference_rate(sch, i):
+    return _reference_phi(np.expm1(sch.zeta * i)) * sch.p
+
+
+def _reference_levels(last: int, reverse: bool = False) -> Iterator[np.ndarray]:
+    if last > _SERIES_TERM_LIMIT:
+        raise ValueError(
+            f"level series has {last} terms; direct summation is infeasible "
+            "at this (n, p)"
+        )
+    starts = range(2, last + 1, _SERIES_CHUNK)
+    return (
+        np.arange(lo, min(lo + _SERIES_CHUNK, last + 1), dtype=np.float64)
+        for lo in (reversed(starts) if reverse else starts)
+    )
+
+
+def reference_walk_series(sch, reverse: bool = False) -> tuple[float, float, float]:
+    """(Pi_alpha, Pi_{1/log n}, density-series minimum) by the chunked walk
+    over whole 2^20-level float64 arrays: every chunk's indices, rates and
+    terms are fresh arrays. The library's blocked walk must return the same
+    bits and raise the same errors wherever this walk stays finite."""
+    ln_n = math.log(sch.n)
+    km = sch.k - sch.m
+    try:
+        step = math.expm1(sch.zeta * km)  # (e^{zeta (k-m)} - 1)
+    except OverflowError:
+        raise ValueError(f"level series step e^(zeta (k-m)) overflows at k-m={km}") from None
+    lasts = (sch.last_index(sch.alpha), sch.last_index(1.0 / ln_n))
+    dens_last = sch.last_index(1.0)
+    best = math.nan
+    if reverse or sch.ell0 <= 0.0 or dens_last > _SERIES_TERM_LIMIT:
+        dens_last = 0
+    else:
+        correction = ln_n**3 / sch.ell0
+        rate = _reference_rate(sch, np.ones(min(dens_last, 1)))  # level 1, if any
+        best = float(np.min(np.ceil(ln_n / rate) * (rate - correction), initial=math.inf))
+    totals = [0.0, 0.0]
+    for i in _reference_levels(max(*lasts, dens_last), reverse):
+        lo = int(i[0])
+        rate = _reference_rate(sch, i)
+        if dens_last >= lo:
+            d = dens_last - lo + 1
+            best = min(best, float((np.ceil(ln_n / rate[:d]) * (rate[:d] - correction)).min()))
+        x = np.divide(ln_n, rate, out=rate)
+        top = max(max(lasts) - lo + 1, 0)
+        terms = x[:top] * np.exp(km * (math.log(sch.p) + sch.zeta * i[:top])) * step
+        for j, last in enumerate(lasts):
+            part = terms[: max(last - lo + 1, 0)]
+            if part.size:
+                totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
+    return totals[0], totals[1], best

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,14 @@ class TestParams:
         assert run(["params", "--n", n, "--p", 0.5]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: n must be finite") and "Traceback" not in err
+
+    def test_tiny_p_reports_series_errors(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["params", "--n", 10, "--p", 1e-308]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert "overflows float64" in doc["lambda"]["error"]
+        assert "overflows float64" in doc["inequalities"]["error"]
 
     def test_rho_flag(self, tmp_path, capsys):
         assert run(["params", "--n", 1000, "--rho", 0.35]) == 0

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquechrom import params
 
 from cliquechrom.params import (
+    ALPHA,
     NU,
     SIGMA,
     ParamSchedule,
@@ -20,6 +22,7 @@ from cliquechrom.params import (
     phi,
     predicted_bounds,
 )
+from oracles import reference_walk_series
 
 
 class TestPhi:
@@ -168,6 +171,15 @@ class TestLambdaCalculus:
             with pytest.raises(ValueError, match="overflows"):
                 evaluate(sch)
 
+    @pytest.mark.parametrize("n", [3, 10, 1e6])
+    def test_tiny_p_is_refused(self, n):
+        # p = 1e-308 overflows x_1 = ln n / rate_1 and the rate at the last
+        # level; the walk refuses it before any of them is evaluated
+        sch = build_schedule(n, 1e-308)
+        for evaluate in (lambda_report, inequality_check):
+            with pytest.raises(ValueError, match="overflows float64"):
+                evaluate(sch)
+
     def test_counting_flag(self):
         sch = build_schedule(1e4, 0.2)
         rep = lambda_report(sch)
@@ -245,6 +257,53 @@ class TestSeriesWalk:
         assert rep.pi_alpha == pytest.approx(pi[0], rel=1e-12)
         assert rep.pi_invlog == pytest.approx(pi[1], rel=1e-12)
         assert inequality_check(sch, rep).values["density_series_lhs"] == float(dens.min())
+
+
+def walk_outcome(walk, sch, reverse):
+    try:
+        return repr(walk(sch, reverse))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestBlockedWalk:
+    """The blocked walk gives the bits and the refusals of the chunked
+    whole-array walk in tests/oracles.py."""
+
+    def assert_same(self, sch, reverse):
+        want = walk_outcome(reference_walk_series, sch, reverse)
+        assert walk_outcome(params._walk_series, sch, reverse) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.floats(min_value=0.5, max_value=9.0).map(lambda e: 10.0**e),
+        rho=st.floats(min_value=0.001, max_value=0.7),
+        reverse=st.booleans(),
+    )
+    def test_matches_the_chunked_walk(self, n, rho, reverse):
+        self.assert_same(build_schedule(n, n**-rho), reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("offset", [1, 2])
+    @pytest.mark.parametrize("span", [params._BLOCK, params._CHUNK])
+    @pytest.mark.parametrize("cutoff", ["one", "alpha", "invlog"])
+    def test_chunk_and_block_edges(self, cutoff, span, offset, reverse):
+        # the last level of one cutoff's series is span + offset: the walk
+        # from level 2 ends on a block (or chunk) edge, or one level past it
+        n = 1e9
+        ln_n = math.log(n)
+        cut = {"one": 1.0, "alpha": ALPHA, "invlog": 1.0 / ln_n}[cutoff]
+        sch = build_schedule(n, math.exp(math.log(cut) - (span + offset + 0.5) / ln_n**4))
+        assert sch.last_index(cut) == span + offset
+        self.assert_same(sch, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_small_x_prefix_over_several_blocks(self, reverse):
+        # phi's series branch serves every level with expm1(zeta i) < 1e-4,
+        # which here runs past the first two blocks
+        sch = build_schedule(1e50, 1e50**-0.002)
+        assert math.expm1(sch.zeta * (2 + 2 * params._BLOCK)) < 1e-4
+        self.assert_same(sch, reverse)
 
 
 class TestInequalities:
