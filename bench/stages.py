@@ -1,6 +1,7 @@
 """Time the upper-bound pipeline one stage at a time on a fixed grid.
 
     python3 bench/stages.py --out bench/BENCH_<label>.json
+    python3 bench/stages.py --against <rev> --out bench/BENCH_<label>.json
 
 Run from the repository root; it imports the package from `src/`. On
 G(n, p) with n = 10^4, p in {0.1, 0.3} and seed 2403 it times, each alone:
@@ -25,16 +26,28 @@ and numpy versions, the commit, and each cell's outputs (palette,
 monochromatic cliques before repair, recoloured vertices; every Lambda
 report field and inequality value as `float.hex`), so two files can be
 checked for the same behaviour before their times are compared.
+
+With --against, the package of <rev> (extracted with `git archive` into a
+temporary directory) is timed in the same run as this checkout's `src/`.
+Each tree gets one child process, which sets the grid up once and stays
+up; each repeat then times every stage once in each child, alternating
+which tree goes first. `stages` holds this checkout's times, `base_stages`
+those of <rev>, and `ratios` the per-repeat ratio (this checkout / <rev>)
+of every stage and cell; `trees` names both commits and digests both
+`src/` trees. The run fails, writing nothing, if the outputs differ
+between the trees or between repeats.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -42,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import cliquechrom  # noqa: E402
 from cliquechrom import upper  # noqa: E402
 from cliquechrom.coloring import monochromatic_maximal_cliques  # noqa: E402
 from cliquechrom.graph import sample_gnp  # noqa: E402
@@ -59,6 +73,14 @@ SERIES_NS = (1e6, 1e12, 1e20)
 SERIES_RHO = 0.3
 STAGES = ("sample_gnp", "color", "validity", "repair", "series")
 
+# A child process of --against: imports the package under argv[2] before
+# this module (from the directory argv[1]), whose imports then find it
+# loaded, and serves one repeat per line of stdin.
+_CHILD = (
+    "import json, sys; sys.path.insert(0, sys.argv[2]); import cliquechrom; sys.path.insert(0, sys.argv[1]); "
+    "import stages; stages.serve(**json.loads(sys.argv[3]))"
+)
+
 
 def _timed(fn, *args):
     gc.collect()
@@ -73,27 +95,31 @@ def _series(n: float, p: float):
     return lam, inequality_check(sch, lam)
 
 
-def measure(n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
-    """Run the grid at vertex count n, and the series at each of series_ns;
-    returns the BENCH document."""
-    graphs = {p: sample_gnp(n, p, SEED) for p in PS}
-    cells = [(p, variant) for p in PS for variant in VARIANTS]
-    colorings = {(p, v): upper._color(graphs[p], p, v)[0] for p, v in cells}
-    times: dict[str, dict[str, list[float]]] = {stage: {} for stage in STAGES}
-    outputs: dict[str, dict] = {}
-    for _ in range(repeats):
+class _Grid:
+    """The stage grid at vertex count n and the series at each of series_ns.
+    The graph of each p and the colouring of each cell are made once, here;
+    `repeat` times every stage once."""
+
+    def __init__(self, n: int, series_ns):
+        self.n, self.series_ns = n, series_ns
+        self.graphs = {p: sample_gnp(n, p, SEED) for p in PS}
+        self.colorings = {(p, v): upper._color(self.graphs[p], p, v)[0] for p in PS for v in VARIANTS}
+
+    def repeat(self) -> tuple[dict, dict]:
+        """One time per stage and cell, and each cell's outputs."""
+        times: dict[str, dict[str, float]] = {stage: {} for stage in STAGES}
+        outputs: dict[str, dict] = {}
         for p in PS:
-            times["sample_gnp"].setdefault(f"p={p}", []).append(_timed(sample_gnp, n, p, SEED)[0])
-        for p, variant in cells:
-            g, coloring, key = graphs[p], colorings[p, variant], f"{variant},p={p}"
+            times["sample_gnp"][f"p={p}"] = _timed(sample_gnp, self.n, p, SEED)[0]
+        for (p, variant), coloring in self.colorings.items():
+            g, key = self.graphs[p], f"{variant},p={p}"
             out = {}
             for stage, fn, args in (
                 ("color", upper._color, (g, p, variant)),
                 ("validity", monochromatic_maximal_cliques, (g, coloring)),
                 ("repair", upper._repair, (g, coloring, REPAIR_BUDGET)),
             ):
-                seconds, out[stage] = _timed(fn, *args)
-                times[stage].setdefault(key, []).append(seconds)
+                times[stage][key], out[stage] = _timed(fn, *args)
             fixed, mono = out["repair"]
             outputs[key] = {
                 "palette": fixed.coloring.palette_size,
@@ -102,22 +128,141 @@ def measure(n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
                 "recolored": list(fixed.recolored),
                 "exhausted": fixed.exhausted,
             }
-        for series_n in series_ns:
+        for series_n in self.series_ns:
             key = f"n={series_n:g},rho={SERIES_RHO}"
-            seconds, (lam, ineq) = _timed(_series, series_n, series_n**-SERIES_RHO)
-            times["series"].setdefault(key, []).append(seconds)
+            times["series"][key], (lam, ineq) = _timed(_series, series_n, series_n**-SERIES_RHO)
             values = {**{k: v for k, v in asdict(lam).items() if isinstance(v, float)}, **ineq.values}
             outputs[key] = {name: float.hex(value) for name, value in values.items()}
+        return times, outputs
+
+
+def serve(n: int, series_ns) -> None:
+    """The --against child: set the grid up, print the package's file, then
+    print one repeat as a JSON line per line read from stdin."""
+    grid = _Grid(n, series_ns)
+    print(json.dumps(cliquechrom.__file__), flush=True)
+    for _ in sys.stdin:
+        print(json.dumps(grid.repeat()), flush=True)
+
+
+def _join(runs: list[dict]) -> dict:
+    """Per-repeat {stage: {cell: seconds}} -> {stage: {cell: [seconds, ...]}}."""
+    return {stage: {cell: [run[stage][cell] for run in runs] for cell in by_cell}
+            for stage, by_cell in runs[0].items()}
+
+
+def _summaries(times: dict) -> dict:
+    return {stage: {cell: summarize(values) for cell, values in by_cell.items()} for stage, by_cell in times.items()}
+
+
+def _document(n: int, repeats: int, series_ns, times: dict, outputs: dict) -> dict:
     return {
         "grid": {"n": n, "p": list(PS), "variants": list(VARIANTS), "seed": SEED,
                  "repeats": repeats, "repair_budget": REPAIR_BUDGET,
                  "series_n": list(series_ns), "series_rho": SERIES_RHO},
         "environment": dict(environment(), machine=platform.machine(), platform=platform.platform(),
                             src_modified=_src_modified()),
-        "stages": {stage: {cell: summarize(values) for cell, values in by_cell.items()}
-                   for stage, by_cell in times.items()},
+        "stages": _summaries(times),
         "outputs": outputs,
     }
+
+
+def measure(n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
+    """Run the grid at vertex count n, and the series at each of series_ns;
+    returns the BENCH document."""
+    grid = _Grid(n, series_ns)
+    runs = [grid.repeat() for _ in range(repeats)]
+    return _document(n, repeats, series_ns, _join([times for times, _ in runs]), runs[-1][1])
+
+
+def measure_against(rev: str, n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
+    """Time this checkout's package and that of git revision `rev` in one
+    alternating run; returns the BENCH document. ValueError when the two
+    trees' outputs differ."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="bench-stages-") as tmp:
+        archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
+        archive.stdout.close()
+        if archive.wait():
+            raise RuntimeError(f"git archive {commit} failed")
+        trees = {"change": ROOT / "src", "base": Path(tmp) / "src"}
+        runs: dict[str, list[tuple[dict, dict]]] = {name: [] for name in trees}
+        children = {}
+        try:
+            for name, src in trees.items():
+                children[name] = _Child(src, n, series_ns)
+            for repeat in range(repeats):
+                for name in list(trees)[:: 1 if repeat % 2 == 0 else -1]:
+                    runs[name].append(children[name].repeat())
+        finally:
+            for child in children.values():
+                child.close()
+        digests = {name: _src_sha256(src) for name, src in trees.items()}
+    first = runs["change"][0][1]
+    every = [outputs for name in trees for _, outputs in runs[name]]
+    differing = sorted({cell for out in every for cell in out.keys() | first.keys()
+                        if out.get(cell) != first.get(cell)})
+    if differing:
+        raise ValueError(f"outputs differ between this checkout and {rev} in cells {differing}")
+    times = {name: _join([times for times, _ in runs[name]]) for name in trees}
+    doc = _document(n, repeats, series_ns, times["change"], first)
+    doc["trees"] = {
+        "change": {"commit": doc["environment"]["commit"], "src_modified": doc["environment"]["src_modified"],
+                   "src_sha256": digests["change"]},
+        "base": {"rev": rev, "commit": commit, "src_sha256": digests["base"]},
+    }
+    doc["base_stages"] = _summaries(times["base"])
+    doc["ratios"] = {
+        stage: {cell: summarize([c / b for c, b in zip(values, times["base"][stage][cell])])
+                for cell, values in by_cell.items()}
+        for stage, by_cell in times["change"].items()
+    }
+    return doc
+
+
+class _Child:
+    """A `serve` process importing the package from `src`; it stays up for
+    the whole run, so each tree sets its grid up once."""
+
+    def __init__(self, src: Path, n: int, series_ns):
+        args = json.dumps({"n": n, "series_ns": list(series_ns)})
+        self.src = src
+        self.proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(Path(__file__).parent), str(src), args],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        package = Path(json.loads(self._line()))
+        if not package.resolve().is_relative_to(src.resolve()):
+            raise RuntimeError(f"the child imported {package}, not the package under {src}")
+
+    def _line(self) -> str:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the stages failed on {self.src} (exit {self.proc.wait()})")
+        return line
+
+    def repeat(self) -> tuple[dict, dict]:
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        times, outputs = json.loads(self._line())
+        return times, outputs
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        self.proc.wait()
+
+
+def _src_sha256(src: Path) -> str:
+    """A digest of the package's sources: names the measured tree even when
+    it is not committed."""
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def _src_modified():
@@ -133,13 +278,23 @@ def _src_modified():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="BENCH JSON file to write")
+    parser.add_argument("--against", metavar="REV", help="also time the package of git revision REV, alternating")
     args = parser.parse_args(argv)
-    doc = measure()
+    try:
+        doc = measure_against(args.against) if args.against else measure()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for stage, by_cell in doc["stages"].items():
         for cell, row in by_cell.items():
-            print(f"{stage:10s} {cell:18s} median {row['median']:.4f} s  q1 {row['q1']:.4f}  q3 {row['q3']:.4f}")
+            line = f"{stage:10s} {cell:18s} median {row['median']:.4f} s  q1 {row['q1']:.4f}  q3 {row['q3']:.4f}"
+            if args.against:
+                base, ratio = doc["base_stages"][stage][cell], doc["ratios"][stage][cell]
+                line += f"  | {args.against} {base['median']:.4f} s  ratio {ratio['median']:.3f}" \
+                        f" ({ratio['q1']:.3f}-{ratio['q3']:.3f})"
+            print(line)
     return 0
 
 

@@ -9,10 +9,21 @@ Random graphs are sampled from a named, stable generator (numpy PCG64).
 For a given (n, p, seed) the sample is bit-identical across platforms: the
 pair (u, v) with u < v consumes one uniform double, in row-major order
 (all pairs with u = 1 first, then u = 2, ...).
+
+That stream is drawn in row bands. Rows 1..n-1 are cut at multiples of 8
+into bands of nearly equal pair counts, one band per CPU once a sample has
+2^22 pairs or more and one band below that. Each band draws from its own
+PCG64(seed), advanced past the (u-1)n - (u-1)u/2 pairs of the rows before
+its first row u (a double takes one 64-bit step, and `advance` jumps in
+O(log k)), so the bands read disjoint parts of the one stream and run on
+threads of their own while numpy fills and compares without the GIL. The
+band count changes only the time, never the graph.
 """
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -151,6 +162,10 @@ class Graph:
 
 
 _ROW_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
+# Samples with fewer pairs than this are drawn on the calling thread.
+_BAND_MIN_PAIRS = 1 << 22
+# Blocks whose column bytes are collected before one write into `packed`.
+_TILE_BLOCKS = 64
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -163,36 +178,113 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    nbytes = (n + 8) // 8
-    packed = np.zeros((n + 1, nbytes), dtype=np.uint8)
-    # Row u sets bit u of each partner v > u. For the eight rows
-    # u = base..base+7 (base a multiple of 8) those bits all land in byte
-    # column base >> 3, so the block is drawn into one bool buffer (row i
-    # holds the pairs of u = base + i) and transposed into that column.
-    block = np.zeros((8, 8 * nbytes), dtype=bool)
-    words = block.view(np.dtype("<u8"))
-    lanes = np.zeros_like(words)
-    column = np.zeros(nbytes, dtype=words.dtype)
-    for base in range(0, n, 8):
-        # Row i must be False up to its diagonal base + i; the previous
-        # block's row i drew from column base - 7 + i on. Columns past n
-        # are never drawn.
-        block[:, max(base - 7, 0) : base + 8] = False
-        for i in range(max(1 - base, 0), min(8, n - base)):
-            u = base + i
-            np.less(rng.random(n - u), p, out=block[i, u + 1 : n + 1])
-        rows = min(8, n + 1 - base)
-        packed[base : base + rows] |= np.packbits(block, axis=1, bitorder="little")[:rows]
-        # Bools are 0/1 bytes, so shifting row i's words by i moves each
-        # flag to bit i of its own byte with no carry between bytes.
-        np.left_shift(words, _ROW_SHIFTS, out=lanes)
-        np.bitwise_or.reduce(lanes, axis=0, out=column)
-        packed[:, base >> 3] |= column.view(np.uint8)[: n + 1]
+    bands = 1 if n * (n - 1) // 2 < _BAND_MIN_PAIRS else os.cpu_count() or 1
+    return _sample_banded(n, p, seed, bands)
+
+
+def _pairs_before(n: int, u: int) -> int:
+    """The pairs of rows 1..u-1: the stream position of row u's first draw."""
+    return (u - 1) * n - (u - 1) * u // 2
+
+
+def _sample_banded(n: int, p: float, seed: int, bands: int) -> Graph:
+    """`sample_gnp` drawn in at most `bands` row bands; more than one band
+    run on a thread each."""
+    packed = np.zeros((n + 1, (n + 8) // 8), dtype=np.uint8)
+    # Block j holds rows 8j..8j+7. Band k starts at the first block whose
+    # rows before it hold k/bands of all pairs; empty bands are dropped.
+    blocks = (n + 7) // 8
+    cuts = [0]
+    for k in range(1, bands):
+        cut = bisect_left(
+            range(blocks), k * _pairs_before(n, n), key=lambda j: bands * _pairs_before(n, max(8 * j, 1))
+        )
+        if cuts[-1] < cut < blocks:
+            cuts.append(cut)
+    cuts.append(blocks)
+    work = [_Band(packed, p, seed, first, stop) for first, stop in zip(cuts, cuts[1:])]
+    if len(work) == 1:
+        work[0].draw()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(work)) as pool:
+            list(pool.map(_Band.draw, work))
+    del work  # frees the buffers for the rows below to reuse
     adj = [0] * (n + 1)
     for v in range(1, n + 1):
         adj[v] = int.from_bytes(packed[v].data, "little")
     return Graph._wrap(n, adj)
+
+
+class _Band:
+    """The rows of blocks first..stop-1: their generator and buffers.
+
+    A band is made on the calling thread, so a bad seed raises there, and
+    its buffers come from that thread's heap, which the graph's rows reuse
+    once the bands are drawn; `draw` may then run on any thread.
+
+    Row u sets bit u of each partner v > u. For the eight rows
+    u = base..base+7 (base a multiple of 8) those bits all land in byte
+    column base >> 3, so the block's pairs are drawn at once into one bool
+    buffer (row i holds the pairs of u = base + i), packed into the block's
+    own rows from column base >> 3 on, and transposed into that column.
+    The columns of _TILE_BLOCKS blocks are collected in `tile` and ORed
+    into `packed` at once, rows and columns from the tile's first row on.
+
+    Two bands never write the same byte: row writes stay inside the band's
+    own rows, and tile writes stay inside the band's own columns, at rows
+    >= the band's first row. So an earlier band writes only left of this
+    band's first column, and a later band only below its last row.
+    """
+
+    def __init__(self, packed: np.ndarray, p: float, seed: int, first: int, stop: int):
+        n = packed.shape[0] - 1
+        top = max(8 * first, 1)
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(_pairs_before(n, top))  # one 64-bit step per double
+        self.rng = np.random.Generator(bitgen)
+        self.packed, self.p, self.first, self.stop = packed, p, first, stop
+        self.block = np.zeros((8, 8 * packed.shape[1]), dtype=bool)
+        self.lanes = np.zeros((8, packed.shape[1]), dtype=np.dtype("<u8"))
+        self.tile = np.zeros((_TILE_BLOCKS, packed.shape[1]), dtype=self.lanes.dtype)
+        # Eight rows from the band's first row hold as many pairs as any block.
+        self.draws = np.empty(_pairs_before(n, min(top + 8, n)) - _pairs_before(n, top))
+        self.hits = np.empty(self.draws.shape, dtype=bool)
+
+    def draw(self) -> None:
+        """Draw the band's pairs and set both bits of each edge in `packed`."""
+        packed, p, block, lanes, tile, draws, hits = (
+            self.packed, self.p, self.block, self.lanes, self.tile, self.draws, self.hits)
+        n = packed.shape[0] - 1
+        words = block.view(lanes.dtype)
+        for tile_first in range(self.first, self.stop, _TILE_BLOCKS):
+            tile_stop = min(tile_first + _TILE_BLOCKS, self.stop)
+            row0 = 8 * tile_first
+            for j in range(tile_first, tile_stop):
+                base = 8 * j
+                lo, hi = max(base, 1), min(base + 8, n)
+                count = _pairs_before(n, hi) - _pairs_before(n, lo)
+                self.rng.random(out=draws[:count])
+                np.less(draws[:count], p, out=hits[:count])
+                # Row i must be False up to its diagonal base + i; the
+                # previous block's row i drew from column base - 7 + i on.
+                # Columns past n are never drawn.
+                block[:, max(base - 7, 0) : base + 8] = False
+                offset = 0
+                for u in range(lo, hi):
+                    block[u - base, u + 1 : n + 1] = hits[offset : offset + n - u]
+                    offset += n - u
+                rows = min(8, n + 1 - base)
+                packed[base : base + rows, base >> 3 :] = np.packbits(block[:rows, base:], axis=1, bitorder="little")
+                # Bools are 0/1 bytes, so shifting row i's words by i moves
+                # each flag to bit i of its own byte with no carry between
+                # bytes: byte v of tile row j - tile_first becomes row v's
+                # column byte.
+                np.left_shift(words[:, row0 >> 3 :], _ROW_SHIFTS, out=lanes[:, row0 >> 3 :])
+                np.bitwise_or.reduce(lanes[:, row0 >> 3 :], axis=0, out=tile[j - tile_first, row0 >> 3 :])
+            width = tile_stop - tile_first
+            packed[row0:, tile_first : tile_first + width] |= tile.view(np.uint8)[:width, row0 : n + 1].T
 
 
 def common_non_neighbors(g: Graph, s: Iterable[int]) -> set[int]:

@@ -202,7 +202,7 @@ class SweepConfig:
                 if name in doc:
                     # Fields defaulting to None (epsilon, relax) take the value as is.
                     kwargs[name] = doc[name] if default is None else type(default)(doc[name])
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed config value: {exc}") from exc
         return cls(**kwargs)
 
@@ -323,13 +323,21 @@ def read_records(fh: TextIO) -> list[dict[str, str]]:
     """Read a records CSV back as raw string dicts.
 
     The header must match the known schema exactly; unknown or missing
-    columns are rejected.
+    columns, a row of another width and malformed CSV are rejected.
     """
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or tuple(header) != RECORD_COLUMNS:
-        raise ValueError("records CSV header does not match the known schema")
-    return [dict(zip(RECORD_COLUMNS, row)) for row in reader]
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != RECORD_COLUMNS:
+            raise ValueError("records CSV header does not match the known schema")
+        rows = []
+        for row in reader:
+            if len(row) != len(RECORD_COLUMNS):
+                raise ValueError(f"records CSV line {reader.line_num} has {len(row)} cells, not {len(RECORD_COLUMNS)}")
+            rows.append(dict(zip(RECORD_COLUMNS, row)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed records CSV: {exc}") from None
+    return rows
 
 
 # -- Theory comparison -------------------------------------------------------------
@@ -361,7 +369,10 @@ def compare_with_theory(records: Sequence[ExperimentRecord]) -> list[CompareRow]
     rows = []
     for (n, p, proc), group in sorted(cells.items()):
         palettes = [rec.palette for rec in group]
-        mean = sum(palettes) / len(palettes)
+        try:
+            mean = sum(palettes) / len(palettes)
+        except OverflowError:
+            raise ValueError(f"palettes of cell ({n}, {p!r}, {proc}) overflow a float") from None
         ratios: dict[str, Optional[float]] = {}
         for bound in predicted_bounds(n, p):
             usable = bound.in_range and bound.value > 0 and math.isfinite(bound.value)

@@ -1,8 +1,12 @@
-"""bench/stages.py on a tiny grid: the BENCH document it writes."""
+"""bench/stages.py on a tiny grid: the BENCH document it writes, alone and
+with --against."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 STAGES_PY = Path(__file__).resolve().parent.parent / "bench" / "stages.py"
 
@@ -38,3 +42,51 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
         assert values["pi_alpha"] > 0.0
     for key in ("cpu", "python", "numpy", "commit", "machine"):
         assert doc["environment"][key]
+
+
+def git_head():
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=STAGES_PY.parent, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def test_against_head_times_both_trees_in_one_run():
+    head = git_head()
+    if head is None:
+        pytest.skip("--against needs a git checkout")
+    stages = load_stages()
+    doc = stages.measure_against("HEAD", n=1000, repeats=2, series_ns=(1e4,))
+    assert doc["trees"]["base"]["commit"] == head
+    assert doc["trees"]["change"]["commit"] == head
+    for tree in doc["trees"].values():
+        assert len(tree["src_sha256"]) == 64
+    cells = {stage: set(by_cell) for stage, by_cell in doc["stages"].items()}
+    assert set(cells) == set(stages.STAGES)
+    for key in ("stages", "base_stages", "ratios"):
+        assert {stage: set(by_cell) for stage, by_cell in doc[key].items()} == cells
+        for by_cell in doc[key].values():
+            for row in by_cell.values():
+                assert len(row["values"]) == 2 and row["median"] > 0
+    ratio = doc["ratios"]["sample_gnp"]["p=0.1"]["values"]
+    change = doc["stages"]["sample_gnp"]["p=0.1"]["values"]
+    base = doc["base_stages"]["sample_gnp"]["p=0.1"]["values"]
+    assert ratio == [c / b for c, b in zip(change, base)]
+
+
+def test_against_fails_when_the_outputs_differ(monkeypatch):
+    if git_head() is None:
+        pytest.skip("--against needs a git checkout")
+    stages = load_stages()
+    real_repeat = stages._Child.repeat
+
+    def repeat(child):
+        times, outputs = real_repeat(child)
+        if child.src != stages.ROOT / "src":
+            outputs["A,p=0.1"]["palette"] += 1
+        return times, outputs
+
+    monkeypatch.setattr(stages._Child, "repeat", repeat)
+    with pytest.raises(ValueError, match=r"A,p=0\.1"):
+        stages.measure_against("HEAD", n=1000, repeats=1, series_ns=(1e4,))

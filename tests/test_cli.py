@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and exit codes, and the package's exports."""
 
 import ast
+import csv
 import importlib
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import cliquechrom
 from cliquechrom.cli import main
+from cliquechrom.harness import PREDICTION_LABELS, RECORD_COLUMNS, ExperimentRecord
 
 
 def run(args):
@@ -366,6 +368,160 @@ class TestExitCodes:
                              "--report", report, "--out", tmp / "out.colors", *extra])
             for args in runs:
                 assert exit_code(args) in (0, 1, 2), args
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=-1, max_value=14),
+        p=st.one_of(st.floats(min_value=0.05, max_value=0.95), PROBABILITIES),
+        seed=st.integers(min_value=-1, max_value=2**32),
+        budget=st.integers(min_value=-1, max_value=300),
+        colors=st.lists(st.integers(min_value=0, max_value=3), min_size=15, max_size=15),
+        short=st.sampled_from([False, False, False, True]),
+        relax=st.one_of(
+            st.none(),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([-1.0, 1.5, 1e300, math.nan, math.inf]),
+        ),
+        epsilon=st.one_of(st.just(0.005), st.sampled_from([0.0, 0.3, -1.0, math.nan, math.inf])),
+    )
+    def test_certify(self, n, p, seed, budget, colors, short, relax, epsilon):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            graph, coloring, report = tmp / "g.edges", tmp / "c.colors", tmp / "r.json"
+            colors = colors[: max(n, 0) - short]
+            coloring.write_text("".join(f"{v} {c}\n" for v, c in enumerate(colors, start=1)))
+            extra = ["--coloring", coloring, "--budget", budget, f"--epsilon={epsilon!r}", "--report", report]
+            if relax is not None:
+                extra.append(f"--relax={relax!r}")
+            exit_code(["gen", "--n", n, "--p", repr(p), "--seed", seed, "--out", graph])
+            runs = [
+                ["certify", "--n", n, "--p", repr(p), "--seed", seed, *extra],
+                ["certify", "--graph", graph, "--assume-p", repr(p), *extra],
+                ["certify", "--graph", graph, *extra],
+            ]
+            for args in runs:
+                assert exit_code(args) in (0, 1, 2), args
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=st.fixed_dictionaries(
+            {
+                "version": st.just(1),
+                "n": st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=2),
+                "procedures": st.lists(st.sampled_from(["A", "B", "certify"]), min_size=1, max_size=3),
+                "trials": st.integers(min_value=1, max_value=2),
+                "master_seed": st.integers(min_value=0, max_value=2**64),
+                "repair_budget": st.integers(min_value=0, max_value=50),
+                "certify_budget": st.integers(min_value=0, max_value=200),
+                "certify_classes": st.integers(min_value=1, max_value=3),
+                "workers": st.sampled_from([1, 1, 1, 2]),
+            },
+            optional={
+                "relax": st.sampled_from([None, 0.25, 1.0]),
+                "epsilon": st.sampled_from([None, 0.05, 0.3]),
+            },
+        ),
+        grid=st.one_of(
+            st.tuples(st.just("p"), st.lists(PROBABILITIES, min_size=1, max_size=2)),
+            st.tuples(st.just("rho"), st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=1, max_size=2)),
+        ),
+        # at most one malformed entry: a bad value, a bad grid or an unknown key
+        fault=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["version", "n", "p", "rho", "procedures", "trials", "master_seed",
+                                 "repair_budget", "certify_budget", "certify_classes", "relax", "epsilon",
+                                 "workers", "surplus"]),
+                st.sampled_from([-1, 0, 1.5, "x", "AB", None, [], [None], [-1], [2.5], [math.nan],
+                                 math.nan, math.inf, -math.inf, {"a": 1}]),
+            ),
+        ),
+    )
+    def test_sweep(self, config, grid, fault):
+        config = dict(config, **dict([grid]))
+        if fault is not None:
+            config[fault[0]] = fault[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = ["sweep", "--config", cfg, "--out", tmp / "out.csv", "--report", tmp / "r.json"]
+            assert exit_code(args) in (0, 1, 2), config
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "[]",
+        "not json",
+        '{"version": 1, "n": [1e400], "p": [0.5]}',
+        '{"version": 1, "n": [12], "p": [0.5], "trials": 1e400}',
+        '{"version": 1, "n": [12], "p": [0.5], "master_seed": 1e400}',
+        '{"version": 1, "n": [12], "p": [1e400]}',
+        '{"version": 1, "n": [12], "rho": [-1e400]}',
+        '{"version": 1, "n": [12], "p": [0.5], "repair_budget": 1e400}',
+        '{"version": 1, "n": {"a": 1}, "p": [0.5]}',
+    ])
+    def test_sweep_malformed_config(self, text, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert exit_code(["sweep", "--config", cfg, "--out", tmp_path / "out.csv"]) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=len(RECORD_COLUMNS) + 1),
+                st.one_of(
+                    st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1e400", "9" * 400, "true",
+                                     "A", "B", "certify", "1.5", '"', "\x00", "\u00e9", "x" * 140_000]),
+                    st.text(max_size=8),
+                ),
+            ),
+            max_size=4,
+        ),
+        cut=st.sampled_from([None, None, None, "cell", "row", "header"]),
+    )
+    def test_compare_malformed_csv(self, edits, cut):
+        rows = [list(RECORD_COLUMNS), *(row[:] for row in COMPARE_ROWS)]
+        for r, c, text in edits:
+            row = rows[min(r, len(rows) - 1)]
+            if c < len(row):
+                row[c] = text
+            else:
+                row.append(text)
+        if cut == "cell":
+            rows[-1].pop()
+        elif cut == "row":
+            rows.pop()
+        elif cut == "header":
+            rows.pop(0)
+        with tempfile.TemporaryDirectory() as tmp:
+            records = Path(tmp) / "records.csv"
+            with open(records, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            assert exit_code(["compare", "--records", records]) in (0, 1, 2)
+
+    @pytest.mark.parametrize("body", [
+        b"\xff\xfe" + ",".join(RECORD_COLUMNS).encode() + b"\n",
+        ",".join(RECORD_COLUMNS).encode() + b"\n1," + b"x" * 140_000 + b"\n",  # past csv's field limit
+        ",".join(RECORD_COLUMNS).encode() + b"\n\n",
+    ], ids=["undecodable", "huge-field", "blank-row"])
+    def test_compare_malformed_file(self, body, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_bytes(body)
+        assert exit_code(["compare", "--records", records]) == 1
+
+
+# Two well-formed records (A on n = 12, p = 0.4) as CSV cells; the malformed
+# files above are edits of them.
+COMPARE_ROWS = [
+    ExperimentRecord(
+        n=12, p=0.4, seed=seed, procedure="A", palette=4, valid=True, repairs=0, leftover=0, s=1, z=2,
+        delta=0.1, certificate_found=None, error="", predictions=dict.fromkeys(PREDICTION_LABELS, 3.5),
+        wall_time=0.0,
+    ).csv_row()
+    for seed in (1, 2)
+]
 
 
 def test_every_export_resolves():

@@ -1,23 +1,32 @@
 """Graph representation, G(n, p) sampling, and neighborhood primitives."""
 
+import concurrent.futures
 import io
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cliquechrom
+from cliquechrom import graph as graph_module
 from cliquechrom.graph import (
     Graph,
+    _sample_banded,
     common_non_neighbors,
     read_edge_list,
     sample_gnp,
     write_edge_list,
 )
 from oracles import reference_sample_gnp
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
 
 
 def complete(n):
@@ -79,6 +88,68 @@ class TestSampling:
     @pytest.mark.parametrize("n", [2000, 10_000])
     def test_matches_reference_sampler_full_width(self, n):
         assert sample_gnp(n, 0.3, seed=2403).adj == reference_sample_gnp(n, 0.3, seed=2403).adj
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1300),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        bands=st.integers(min_value=1, max_value=7),
+    )
+    @example(n=1030, p=0.5, seed=77, bands=2)  # a band of more than one tile
+    @example(n=1300, p=0.5, seed=77, bands=3)
+    def test_bands_match_reference_sampler(self, n, p, seed, bands):
+        # Up to 1300 rows, band cuts fall on both sides of the 512-row tile
+        # edge, and off tile boundaries.
+        assert _sample_banded(n, p, seed, bands).adj == reference_sample_gnp(n, p, seed).adj
+
+    def test_more_band_threads_than_cpus_switching_often(self):
+        # Seven bands write one shared byte matrix from seven threads; a lost
+        # or misplaced write would show as a difference from the oracle.
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(_sample_banded(3001, 0.5, 9, 7)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result[0].adj == reference_sample_gnp(3001, 0.5, 9).adj
+
+    def test_negative_seed_raises_on_the_calling_thread(self, monkeypatch):
+        # The same ValueError as PCG64's own, raised before any pool starts.
+        with pytest.raises(ValueError) as expected:
+            np.random.PCG64(-1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        for bands in (1, 4):
+            with pytest.raises(ValueError) as error:
+                _sample_banded(3000, 0.1, -1, bands)
+            assert str(error.value) == str(expected.value)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            sample_gnp(3000, 0.1, seed=-1)
+
+    def test_small_samples_stay_on_the_calling_thread(self, monkeypatch):
+        # 2896 vertices make 4,191,960 pairs, just under 2^22.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert sample_gnp(2896, 0.01, seed=5).edge_count > 0
+
+    @pytest.mark.parametrize("cpus,threads", [(None, 0), (1, 0), (3, 3)])
+    def test_threads_never_exceed_the_cpus(self, monkeypatch, cpus, threads):
+        # 2897 vertices make 4,194,856 pairs, just over 2^22.
+        pools = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(graph_module.os, "cpu_count", lambda: cpus)
+        g = sample_gnp(2897, 0.3, seed=8)
+        assert pools == ([threads] if threads else [])
+        assert g.adj == _sample_banded(2897, 0.3, 8, 1).adj
 
     def test_max_degree_tail_proxy(self):
         # fast version of the 2np degree-cap proxy; the acceptance suite

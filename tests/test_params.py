@@ -51,6 +51,16 @@ class TestPhi:
             phi(-1.0)
         assert phi(-0.5) > 0.0
 
+    @pytest.mark.parametrize("x", [1e308, 2.6e305, math.inf, -math.inf, math.nan])
+    def test_overflow_and_non_finite_x_raise(self, x):
+        # The suite turns a RuntimeWarning from the package into an error,
+        # so an overflow inside phi fails here rather than returning inf.
+        with pytest.raises(ValueError):
+            phi(x)
+
+    def test_largest_x_below_overflow_is_finite(self):
+        assert math.isfinite(phi(2.4e305))
+
 
 class TestBuildSchedule:
     def test_dense_case_m_and_k(self):
