@@ -1,4 +1,5 @@
-"""Time the upper-bound pipeline one stage at a time on a fixed grid.
+"""Time the colouring and certificate pipelines one stage at a time on a
+fixed grid.
 
     python3 bench/stages.py --out bench/BENCH_<label>.json
     python3 bench/stages.py --against <rev> --out bench/BENCH_<label>.json
@@ -12,20 +13,28 @@ G(n, p) with n = 10^4, p in {0.1, 0.3} and seed 2403 it times, each alone:
               Bron-Kerbosch pass over every colour class;
   repair      `upper._repair(g, coloring, 1000)`, which enumerates again.
 
-for variants A and B, and at n in {10^6, 10^12, 10^20} with p = n^-0.3:
+for variants A and B; on G(500, 0.3), G(2000, 0.3) and G(400, 0.9), seed
+2403, with the round-robin 2-colouring:
+
+  certify     `lowerbound.certify(g, coloring, schedule, 2403, 10^4, 0.25)`,
+              the certify_sweep trial's search (relax 0.25, budget 10^4);
+
+and at n in {10^6, 10^12, 10^20} with p = n^-0.3:
 
   series      `params.build_schedule(n, p)`, then `lambda_report` and
               `inequality_check` on it: the Lambda/Pi and density series.
 
-The graph of each p is sampled once outside the timed region of the other
-stages. Repeats are interleaved (every stage once per repeat) so that a
-drift in the machine's speed spreads over all stages, and each stage's
-times are summarised by perfbench/spread.py's `summarize` (median,
-quartiles, spread). The file also records the machine, the Python
-and numpy versions, the commit, and each cell's outputs (palette,
-monochromatic cliques before repair, recoloured vertices; every Lambda
-report field and inequality value as `float.hex`), so two files can be
-checked for the same behaviour before their times are compared.
+Each graph, colouring and schedule is made once, outside the timed region
+of the stages that use it. Repeats are interleaved (every stage once per
+repeat) so that a drift in the machine's speed spreads over all stages,
+and each stage's times are summarised by perfbench/spread.py's
+`summarize` (median, quartiles, spread). The file also records the
+machine, the Python and numpy versions, the commit, and each cell's
+outputs (palette, monochromatic cliques before repair, recoloured
+vertices; whether certify found a clique, the clique, its method, search
+nodes, partition attempts and exhaustion; every Lambda report field and
+inequality value as `float.hex`), so two files can be checked for the
+same behaviour before their times are compared.
 
 With --against, the package of <rev> (extracted with `git archive` into a
 temporary directory) is timed in the same run as this checkout's `src/`.
@@ -57,8 +66,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cliquechrom  # noqa: E402
 from cliquechrom import upper  # noqa: E402
-from cliquechrom.coloring import monochromatic_maximal_cliques  # noqa: E402
+from cliquechrom.coloring import Coloring, monochromatic_maximal_cliques  # noqa: E402
 from cliquechrom.graph import sample_gnp  # noqa: E402
+from cliquechrom.lowerbound import certify  # noqa: E402
 from cliquechrom.params import build_schedule, inequality_check, lambda_report  # noqa: E402
 from run import environment  # noqa: E402
 from spread import summarize  # noqa: E402
@@ -69,9 +79,13 @@ VARIANTS = ("A", "B")
 SEED = 2403
 REPEATS = 7
 REPAIR_BUDGET = 1000
+CERTIFY_CELLS = ((500, 0.3), (2000, 0.3), (400, 0.9))
+CERTIFY_CLASSES = 2
+CERTIFY_RELAX = 0.25
+CERTIFY_BUDGET = 10_000
 SERIES_NS = (1e6, 1e12, 1e20)
 SERIES_RHO = 0.3
-STAGES = ("sample_gnp", "color", "validity", "repair", "series")
+STAGES = ("sample_gnp", "color", "validity", "repair", "certify", "series")
 
 # A child process of --against: imports the package under argv[2] before
 # this module (from the directory argv[1]), whose imports then find it
@@ -96,14 +110,26 @@ def _series(n: float, p: float):
 
 
 class _Grid:
-    """The stage grid at vertex count n and the series at each of series_ns.
-    The graph of each p and the colouring of each cell are made once, here;
-    `repeat` times every stage once."""
+    """The stage grid at vertex count n, the certify cells, and the series at
+    each of series_ns. The graph of each p and each certify cell, and the
+    colouring of each cell, are made once, here; `repeat` times every stage
+    once."""
 
     def __init__(self, n: int, series_ns):
         self.n, self.series_ns = n, series_ns
         self.graphs = {p: sample_gnp(n, p, SEED) for p in PS}
         self.colorings = {(p, v): upper._color(self.graphs[p], p, v)[0] for p in PS for v in VARIANTS}
+        self.certify_args = {
+            f"n={cn},p={cp}": (
+                sample_gnp(cn, cp, SEED),
+                Coloring(tuple(1 + (v - 1) % CERTIFY_CLASSES for v in range(1, cn + 1))),
+                build_schedule(cn, cp),
+                SEED,
+                CERTIFY_BUDGET,
+                CERTIFY_RELAX,
+            )
+            for cn, cp in CERTIFY_CELLS
+        }
 
     def repeat(self) -> tuple[dict, dict]:
         """One time per stage and cell, and each cell's outputs."""
@@ -127,6 +153,16 @@ class _Grid:
                 "mono_cliques": [sorted(k) for k in out["validity"]],
                 "recolored": list(fixed.recolored),
                 "exhausted": fixed.exhausted,
+            }
+        for key, args in self.certify_args.items():
+            times["certify"][key], report = _timed(certify, *args)
+            outputs[key] = {
+                "found": report.found,
+                "method": report.method,
+                "clique": sorted(report.clique) if report.clique else None,
+                "candidates_tested": report.candidates_tested,
+                "partition_attempts": report.partition_attempts,
+                "exhausted": report.exhausted,
             }
         for series_n in self.series_ns:
             key = f"n={series_n:g},rho={SERIES_RHO}"
@@ -159,6 +195,8 @@ def _document(n: int, repeats: int, series_ns, times: dict, outputs: dict) -> di
     return {
         "grid": {"n": n, "p": list(PS), "variants": list(VARIANTS), "seed": SEED,
                  "repeats": repeats, "repair_budget": REPAIR_BUDGET,
+                 "certify_cells": [list(cell) for cell in CERTIFY_CELLS], "certify_classes": CERTIFY_CLASSES,
+                 "certify_relax": CERTIFY_RELAX, "certify_budget": CERTIFY_BUDGET,
                  "series_n": list(series_ns), "series_rho": SERIES_RHO},
         "environment": dict(environment(), machine=platform.machine(), platform=platform.platform(),
                             src_modified=_src_modified()),

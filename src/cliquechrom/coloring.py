@@ -9,12 +9,13 @@ makes the returned witness the lexicographically least valid assignment.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping, Optional, TextIO
 
 from .cliques import maximal_cliques_within
-from .graph import Graph, iter_bits
+from .graph import Graph, bits_of, iter_bits
 
 __all__ = [
     "Coloring",
@@ -68,10 +69,15 @@ class Coloring:
         return len(set(self.colors))
 
     def class_bits(self) -> dict[int, int]:
-        out: dict[int, int] = {}
+        """Each color's members as a bitset, colors in first-appearance order.
+
+        The vertices are grouped in one pass and each class packed once, as
+        ORing each vertex into its class would cost O(n) big-int work per
+        vertex."""
+        members: defaultdict[int, list[int]] = defaultdict(list)
         for v, c in enumerate(self.colors, start=1):
-            out[c] = out.get(c, 0) | (1 << v)
-        return out
+            members[c].append(v)
+        return {c: bits_of(vs) for c, vs in members.items()}
 
 
 def color_classes(g: Graph, c: Coloring) -> list[tuple[int, int]]:

@@ -23,6 +23,7 @@ band count changes only the time, never the graph.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, TextIO
 
@@ -40,19 +41,90 @@ __all__ = [
 
 
 def bits_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex ids into a bitset."""
+    """Pack an iterable of vertex ids into a bitset; a negative id raises
+    ValueError and an id that is not an int TypeError.
+
+    ORing each id into the result costs O(v) big-int work per id v, so k ids
+    below t cost O(k t). Where that would cost more than one numpy pass over
+    a t-byte buffer (`_pack_pays`: from about 90 ids below 2000, 55 below
+    10^4 and 36 below 3*10^4), ids that are all non-negative int64 values
+    are set in the buffer and packed instead; any other input takes the OR
+    loop, which raises what it raises."""
+    ids = vertices if type(vertices) is list else list(vertices)
+    # The packing never pays for 20 ids or fewer, whatever their range.
+    if len(ids) > 20:
+        try:
+            arr = np.frombuffer(array("q", ids), np.int64)
+        except (TypeError, OverflowError):
+            arr = None  # not ints, or past int64: the loop raises or packs them
+        if arr is not None and _pack_pays(len(ids), top := int(arr.max())) and arr.min() >= 0:
+            flags = np.zeros(top + 1, dtype=bool)
+            flags[arr] = True
+            return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
     bits = 0
-    for v in vertices:
+    for v in ids:
         bits |= 1 << v
     return bits
 
 
 def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the set bit positions (vertex ids) in ascending order."""
+    """Iterate over the set bit positions (vertex ids) in ascending order;
+    a negative int, which has infinitely many, raises ValueError.
+
+    Walking the bits one by one costs O(w) big-int work per set bit of a
+    w-bit int. Where that would cost more than one numpy pass over its
+    bytes (`_unpack_pays`: from about 23 set bits at w = 128, 17 at 2000,
+    10 at 10^4 and 8 at 3*10^4; never within one 64-bit word), the int is
+    unpacked by numpy instead, with the same ids in the same order."""
+    if bits < 0:
+        raise ValueError("a negative int has no finite set of bits")
+    width = bits.bit_length()
+    if _unpack_pays(bits.bit_count(), width):
+        return iter(_unpack(bits).tolist())
+    return _walk(bits)
+
+
+def _unpack(bits: int) -> np.ndarray:
+    """The set bit positions of a non-negative int, ascending, as an array."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little").view(bool))
+
+
+def _walk(bits: int) -> Iterator[int]:
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+# The crossovers of the two kernels, from times measured on an x86 host
+# (Python 3.11, numpy 2.4) for widths 64 to 30 000 and 1 to 1024 set bits.
+def _unpack_pays(count: int, width: int) -> bool:
+    """The walk takes about 160 + width/16 ns per set bit, the unpacking
+    about 3800 + 0.4 width ns in all. A set within one 64-bit word always
+    walks: the unpacking gains at most a few microseconds there."""
+    return width > 64 and count * (160 + width / 16) > 3800 + 0.4 * width
+
+
+def _pack_pays(count: int, top: int) -> bool:
+    """The OR loop takes about 120 + top/66 ns per id, the packing about
+    9800 + 0.31 top + 34 count ns in all."""
+    return count * (120 + top / 66) > 9800 + 0.31 * top + 34 * count
+
+
+def _rows(g: Graph, ids: list[int]) -> np.ndarray:
+    """The adjacency rows of the vertices ids, one row of little-endian
+    uint64 words each."""
+    width = (g.n + 64) // 64
+    raw = b"".join(g.adj[v].to_bytes(8 * width, "little") for v in ids)
+    return np.frombuffer(raw, "<u8").reshape(len(ids), width)
+
+
+def _popcounts(rows: np.ndarray, bits: int) -> np.ndarray:
+    """|row ∩ bits| for each row of uint64 words, as int64; bits must fit
+    in a row."""
+    words = np.frombuffer(bits.to_bytes(8 * rows.shape[1], "little"), "<u8")
+    return np.bitwise_count(rows & words).sum(axis=1, dtype=np.int64)
 
 
 class Graph:

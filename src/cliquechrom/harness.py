@@ -181,7 +181,7 @@ class SweepConfig:
         doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"config must be a JSON object with version {SCHEMA_VERSION}")
-        grids = {"n": ("n_grid", int), "p": ("p_grid", float), "rho": ("rho_grid", float)}
+        grids = {"n": ("n_grid", _integer), "p": ("p_grid", float), "rho": ("rho_grid", float)}
         scalars = {
             f.name: f.default
             for f in dataclasses.fields(cls)
@@ -201,10 +201,21 @@ class SweepConfig:
             for name, default in scalars.items():
                 if name in doc:
                     # Fields defaulting to None (epsilon, relax) take the value as is.
-                    kwargs[name] = doc[name] if default is None else type(default)(doc[name])
+                    convert = _integer if type(default) is int else type(default)
+                    kwargs[name] = doc[name] if default is None else convert(doc[name])
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed config value: {exc}") from exc
         return cls(**kwargs)
+
+
+def _integer(value) -> int:
+    """A config value of an int field: an int, or a float with an integral
+    value; a bool, a string or a fractional number raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 _MASK64 = (1 << 64) - 1
@@ -304,6 +315,13 @@ def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepResult:
     args = (_run_trial, repeat(cfg, len(tasks)), *zip(*tasks))
     nworkers = _pool_size(cfg.workers, len(tasks))
     if nworkers > 1:
+        # Workers forked from this process (Linux's default start method)
+        # inherit its modules. Every trial samples through numpy.random, which
+        # numpy loads lazily, so importing it here spares each worker of this
+        # sweep's fresh pool its own import. Importing it at module level
+        # would add it to the start-up of every command.
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             records = tuple(pool.map(*args, chunksize=1))
     else:

@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .cliques import _dominating_search, extend_to_maximal, is_maximal_clique
 from .coloring import Coloring, color_classes, require_budget
-from .graph import Graph, bits_of, common_non_neighbors, iter_bits
+from .graph import Graph, _popcounts, _rows, bits_of, common_non_neighbors, iter_bits
 from .params import ParamSchedule
 
 __all__ = [
@@ -211,37 +213,34 @@ def pseudo_partition(
             {},
         )
 
+    # Every attempt counts, per outside vertex u, its neighbours in a few
+    # bitsets: one numpy pass over the rows of V \ W per bitset.
+    out_ids = list(iter_bits(outside))
+    rows = _rows(g, out_ids)
+    # A quarter of each outside vertex's non-neighbours in W, per part.
+    quotas = (size - _popcounts(rows, wb)) / (4 * m)
     rng = random.Random(seed)
     failures = {"a_plus": 0, "b_plus": 0, "trim": 0}
     for attempt in range(1, max_attempts + 1):
-        a_plus = 0
-        b_plus = [0] * m
+        a_ids: list[int] = []
+        b_ids: list[list[int]] = [[] for _ in range(m)]
         for v in members:
             slot = rng.randrange(2 * m)
-            if slot < m:
-                b_plus[slot] |= 1 << v
-            else:
-                a_plus |= 1 << v
+            (b_ids[slot] if slot < m else a_ids).append(v)
+        a_plus = bits_of(a_ids)
+        b_plus = [bits_of(ids) for ids in b_ids]
 
         if a_plus.bit_count() < size / 4:
             failures["a_plus"] += 1
             continue
-        ok = True
-        for v in iter_bits(outside):
-            non_nbr = ~g.adj[v]
-            quota = (wb & non_nbr).bit_count() / (4 * m)
-            if any((b_plus[i] & non_nbr).bit_count() < quota for i in range(m)):
-                ok = False
-                break
-        if not ok:
+        # |B_i+ \ Γ(u)| against u's quota, for every outside u and part i.
+        if any((part.bit_count() - _popcounts(rows, part) < quotas).any() for part in b_plus):
             failures["b_plus"] += 1
             continue
 
         a_bits = _first_bits(a_plus, a)
-        order = sorted(
-            iter_bits(outside),
-            key=lambda u: (-(g.adj[u] & a_bits).bit_count(), u),
-        )
+        # By |Γ(u) ∩ A| descending; the stable sort keeps ties in id order.
+        order = [out_ids[i] for i in np.argsort(-_popcounts(rows, a_bits), kind="stable")]
         b_bits = []
         for i in range(m):
             pool = b_plus[i] & ~g.adj[order[i]]

@@ -8,8 +8,9 @@ instances.
 from __future__ import annotations
 
 import math
+import random
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -80,6 +81,97 @@ def brute_chromatic(g: Graph) -> int:
             if all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges()):
                 return q
         q += 1
+
+
+def reference_iter_bits(bits: int) -> Iterator[int]:
+    """The set bit positions of bits, ascending, lowest bit first, one big-int
+    step per bit."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def reference_bits_of(vertices: Iterable[int]) -> int:
+    """The ids ORed into a bitset one at a time."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << v
+    return bits
+
+
+def reference_class_bits(colors: tuple[int, ...]) -> dict[int, int]:
+    """Color -> member bitset, each vertex ORed into its class, colors in
+    first-appearance order."""
+    out: dict[int, int] = {}
+    for v, c in enumerate(colors, start=1):
+        out[c] = out.get(c, 0) | (1 << v)
+    return out
+
+
+def reference_outside_pivot(p: int, xo: int, masks: list[int], full: int) -> tuple[int, int]:
+    """The first mask j in XO, ascending, with the largest cover
+    |P ∩ masks[j]|, and that cover; the scan stops at a cover of all of P."""
+    best = -1
+    while xo:
+        low = xo & -xo
+        xo ^= low
+        j = low.bit_length() - 1
+        cover = (p & masks[j]).bit_count()
+        if cover > best:
+            best = cover
+            pivot = j
+            if cover == full:
+                break
+    return pivot, best
+
+
+def reference_partition_rounds(
+    g: Graph, wb: int, m: int, a: int, b: int, seed: int, max_attempts: int
+) -> tuple[Optional[tuple[int, list[int], list[int], int]], dict[str, int]]:
+    """The randomized rounds of `pseudo_partition` on the class bitset wb,
+    each vertex ORed into its part and each outside vertex checked and
+    ranked by its own big-int popcounts. Returns ((A, [B_i], the degree
+    order of V \\ W, attempts) or None, failure counts)."""
+
+    def first_bits(bits: int, count: int) -> int:
+        out = 0
+        for _ in range(count):
+            low = bits & -bits
+            out |= low
+            bits ^= low
+        return out
+
+    size = wb.bit_count()
+    outside = g.all_bits & ~wb
+    rng = random.Random(seed)
+    failures = {"a_plus": 0, "b_plus": 0, "trim": 0}
+    for attempt in range(1, max_attempts + 1):
+        a_plus, b_plus = 0, [0] * m
+        for v in reference_iter_bits(wb):
+            slot = rng.randrange(2 * m)
+            if slot < m:
+                b_plus[slot] |= 1 << v
+            else:
+                a_plus |= 1 << v
+        if a_plus.bit_count() < size / 4:
+            failures["a_plus"] += 1
+            continue
+        if any(
+            (b_plus[i] & ~g.adj[v]).bit_count() < (wb & ~g.adj[v]).bit_count() / (4 * m)
+            for v in reference_iter_bits(outside)
+            for i in range(m)
+        ):
+            failures["b_plus"] += 1
+            continue
+        a_bits = first_bits(a_plus, a)
+        order = sorted(reference_iter_bits(outside), key=lambda u: (-(g.adj[u] & a_bits).bit_count(), u))
+        pools = [b_plus[i] & ~g.adj[order[i]] for i in range(m)]
+        if any(pool.bit_count() < b for pool in pools):
+            failures["trim"] += 1
+            continue
+        return (a_bits, [first_bits(pool, b) for pool in pools], order, attempt), failures
+    return None, failures
 
 
 def _unprojected_bron_kerbosch(adj: list[int], r: int, p: int, x: int) -> Iterator[int]:

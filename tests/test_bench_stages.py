@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from cliquechrom.coloring import Coloring
+from cliquechrom.graph import sample_gnp
+from cliquechrom.lowerbound import certify
+from cliquechrom.params import build_schedule
+
 STAGES_PY = Path(__file__).resolve().parent.parent / "bench" / "stages.py"
 
 
@@ -25,17 +30,35 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
     path.write_text(json.dumps(stages.measure(n=1000, repeats=5, series_ns=(1e4, 1e6)), indent=1) + "\n")
     doc = json.loads(path.read_text())
     cells = [f"{v},p={p}" for p in stages.PS for v in stages.VARIANTS]
+    certify_cells = ["n=500,p=0.3", "n=2000,p=0.3", "n=400,p=0.9"]
     series_cells = [f"n={n},rho={stages.SERIES_RHO}" for n in ("10000", "1e+06")]
     assert set(doc["stages"]) == set(stages.STAGES)
     assert set(doc["stages"]["sample_gnp"]) == {f"p={p}" for p in stages.PS}
     for stage in ("color", "validity", "repair"):
         assert set(doc["stages"][stage]) == set(cells)
+    assert set(doc["stages"]["certify"]) == set(certify_cells)
     assert set(doc["stages"]["series"]) == set(series_cells)
     for by_cell in doc["stages"].values():
         for row in by_cell.values():
             assert len(row["values"]) == 5
             assert 0 < row["q1"] <= row["median"] <= row["q3"]
-    assert set(doc["outputs"]) == set(cells) | set(series_cells)
+    assert set(doc["outputs"]) == set(cells) | set(certify_cells) | set(series_cells)
+    for cell in certify_cells:
+        out = doc["outputs"][cell]
+        assert set(out) == {"found", "method", "clique", "candidates_tested", "partition_attempts", "exhausted"}
+        assert out["candidates_tested"] > 0
+        assert out["found"] == (out["clique"] is not None) == (out["method"] is not None)
+        assert not (out["found"] and out["exhausted"])
+    # C+ answers the sparse cells, as in certify_sweep.
+    assert doc["outputs"]["n=500,p=0.3"]["method"] == doc["outputs"]["n=2000,p=0.3"]["method"] == "sampled"
+    rep = certify(sample_gnp(500, 0.3, stages.SEED), Coloring(tuple(1 + (v - 1) % 2 for v in range(1, 501))),
+                  build_schedule(500, 0.3), stages.SEED, stages.CERTIFY_BUDGET, stages.CERTIFY_RELAX)
+    assert doc["outputs"]["n=500,p=0.3"] == {
+        "found": rep.found, "method": rep.method, "clique": sorted(rep.clique),
+        "candidates_tested": rep.candidates_tested, "partition_attempts": rep.partition_attempts,
+        "exhausted": rep.exhausted,
+    }
+    assert doc["grid"]["certify_cells"] == [[500, 0.3], [2000, 0.3], [400, 0.9]]
     for cell in series_cells:
         values = {name: float.fromhex(value) for name, value in doc["outputs"][cell].items()}
         assert values["lam"] == values["lambda0"] + (values["pi_invlog"] + 0.7)  # m = 1 at rho = 0.3

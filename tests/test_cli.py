@@ -459,6 +459,10 @@ class TestExitCodes:
         '{"version": 1, "n": [12], "rho": [-1e400]}',
         '{"version": 1, "n": [12], "p": [0.5], "repair_budget": 1e400}',
         '{"version": 1, "n": {"a": 1}, "p": [0.5]}',
+        '{"version": 1, "n": [12.9], "p": [0.5]}',
+        '{"version": 1, "n": [12], "p": [0.5], "trials": 2.7}',
+        '{"version": 1, "n": [12], "p": [0.5], "workers": "1"}',
+        '{"version": 1, "n": [12], "p": [0.5], "trials": true}',
     ])
     def test_sweep_malformed_config(self, text, tmp_path):
         cfg = tmp_path / "cfg.json"

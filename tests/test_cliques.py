@@ -3,11 +3,14 @@
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquechrom.cliques import (
+    _Outside,
     _dominating_search,
+    _outside_pivot,
     enumerate_maximal_cliques,
     extend_to_maximal,
     find_clique_dominating_outside,
@@ -18,7 +21,12 @@ from cliquechrom.coloring import color_classes, offending_cliques
 from cliquechrom.graph import Graph, iter_bits, sample_gnp
 from cliquechrom.upper import _color
 
-from oracles import _dominating_dfs, brute_maximal_cliques, reference_maximal_cliques_within
+from oracles import (
+    _dominating_dfs,
+    brute_maximal_cliques,
+    reference_maximal_cliques_within,
+    reference_outside_pivot,
+)
 
 
 def complete(n):
@@ -109,6 +117,31 @@ class TestProjectedOrder:
             coloring, _ = _color(g, p, variant)
             for _, members in color_classes(g, coloring):
                 assert_same_order(g, members)
+
+
+class TestOutsidePivot:
+    """The pivot over the outside masks, a numpy pass from 32 masks on,
+    against the scan it replaces: the first mask with the largest cover."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=200),
+        m=st.integers(min_value=1, max_value=300),
+        density=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+        share=st.sampled_from([0.01, 0.2, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_scan(self, k, m, density, share, seed):
+        rnd = random.Random(seed)
+        # Every mask is non-empty, as the projection keeps only those.
+        masks = [sum(1 << i for i in range(k) if rnd.random() < density) or 1 << rnd.randrange(k) for _ in range(m)]
+        width = (k + 63) // 64
+        words = np.frombuffer(b"".join(mask.to_bytes(8 * width, "little") for mask in masks), "<u8")
+        out = _Outside(masks, words.reshape(m, width), [], [], [])
+        p = rnd.getrandbits(k) or 1
+        xo = sum(1 << j for j in range(m) if rnd.random() < share) or 1 << rnd.randrange(m)
+        full = p.bit_count()
+        assert _outside_pivot(p, xo, out, full) == reference_outside_pivot(p, xo, masks, full)
 
 
 class TestMemberRange:

@@ -23,7 +23,7 @@ from cliquechrom.lowerbound import certify, select_useful_class
 from cliquechrom.params import build_schedule
 from cliquechrom.upper import repair
 
-from oracles import brute_clique_chromatic, brute_is_valid, brute_monochromatic_maximal
+from oracles import brute_clique_chromatic, brute_is_valid, brute_monochromatic_maximal, reference_class_bits
 
 
 def complete(n):
@@ -213,3 +213,19 @@ class TestColoringIO:
         c = Coloring((1, 2, 1))
         assert c.palette_size == 2
         assert {col: set(iter_bits(bits)) for col, bits in c.class_bits().items()} == {1: {1, 3}, 2: {2}}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=30_000)),
+        palette=st.lists(st.one_of(st.integers(min_value=0, max_value=9), st.integers(min_value=2**63, max_value=2**80)),
+                         min_size=1, max_size=6, unique=True),
+        singletons=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_class_bits_match_the_or_loop(self, n, palette, singletons, seed):
+        # Few classes of many vertices (packed), or one class per vertex; colors
+        # past int64 are allowed, as read_coloring takes any non-negative id.
+        rnd = random.Random(seed)
+        colors = tuple(range(n, 0, -1)) if singletons else tuple(rnd.choice(palette) for _ in range(n))
+        got = Coloring(colors).class_bits()
+        assert list(got.items()) == list(reference_class_bits(colors).items())

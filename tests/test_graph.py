@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import math
+import random
 import subprocess
 import sys
 import threading
@@ -17,12 +18,14 @@ from cliquechrom import graph as graph_module
 from cliquechrom.graph import (
     Graph,
     _sample_banded,
+    bits_of,
     common_non_neighbors,
+    iter_bits,
     read_edge_list,
     sample_gnp,
     write_edge_list,
 )
-from oracles import reference_sample_gnp
+from oracles import reference_bits_of, reference_iter_bits, reference_sample_gnp
 
 
 def no_pool(*args, **kwargs):
@@ -280,3 +283,87 @@ class TestGraphBasics:
     def test_bits_rejects_out_of_range_ids(self, bad):
         with pytest.raises(ValueError):
             path3().bits([1, bad])
+
+
+def set_positions(width, positions):
+    """The int with exactly the given bit positions set, built bytewise."""
+    raw = bytearray((width + 7) // 8)
+    for i in positions:
+        raw[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(raw, "little")
+
+
+@st.composite
+def wide_bitsets(draw):
+    """Ints up to about 3*10^4 bits wide: empty, one high bit, every bit, or
+    a random density, the top bit set so that the width is the drawn one."""
+    width = draw(st.one_of(st.integers(0, 300), st.integers(0, 30_000)))
+    shape = draw(st.sampled_from(["empty", "top", "full", "random"]))
+    if width == 0 or shape == "empty":
+        return 0
+    if shape == "top":
+        return 1 << (width - 1)
+    if shape == "full":
+        return (1 << width) - 1
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0003, 0.003, 0.03, 0.3, 0.9]))
+    count = min(width - 1, int(density * width))
+    return set_positions(width, rnd.sample(range(width - 1), count)) | 1 << (width - 1)
+
+
+class TestBitsetKernels:
+    """iter_bits and bits_of against the one-bit-at-a-time loops they replace
+    on wide inputs."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(bits=wide_bitsets())
+    @example(bits=(1 << 30_000) - 1)
+    @example(bits=(1 << 64) - 1)
+    @example(bits=(1 << 65) - 1)
+    @example(bits=0b1011)
+    def test_iter_bits_matches_the_walk(self, bits):
+        assert list(iter_bits(bits)) == list(reference_iter_bits(bits))
+
+    def test_both_sides_of_the_crossover_run(self):
+        # exact_small's graphs (n <= 40) stay on the walk; wide dense sets unpack.
+        assert not any(graph_module._unpack_pays(count, width) for width in range(65) for count in range(width + 1))
+        assert graph_module._unpack_pays(1000, 2000)
+        assert not graph_module._unpack_pays(1, 30_000)
+        assert graph_module._pack_pays(1000, 2000)
+        assert not graph_module._pack_pays(20, 30_000)
+
+    def test_negative_ints_raise(self):
+        with pytest.raises(ValueError):
+            iter_bits(-1)
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        bits=wide_bitsets(),
+        seed=st.integers(0, 2**32 - 1),
+        form=st.sampled_from([list, tuple, frozenset, iter]),
+        repeats=st.integers(0, 3),
+    )
+    def test_bits_of_matches_the_loop(self, bits, seed, form, repeats):
+        rnd = random.Random(seed)
+        ids = list(reference_iter_bits(bits))
+        ids += [rnd.choice(ids) for _ in range(repeats)] if ids else []
+        rnd.shuffle(ids)
+        assert bits_of(form(ids)) == reference_bits_of(ids) == bits
+
+    @pytest.mark.parametrize("count", [3, 30, 3000])
+    @pytest.mark.parametrize("bad, error", [(-1, ValueError), (-3000, ValueError), (2.5, TypeError),
+                                            (2.0, TypeError), ("7", TypeError), (None, TypeError),
+                                            ([1], TypeError)])
+    def test_bits_of_raises_what_the_loop_raises(self, count, bad, error):
+        ids = list(range(count, 0, -1))
+        ids.insert(count // 2, bad)
+        with pytest.raises(error):
+            reference_bits_of(ids)
+        with pytest.raises(error):
+            bits_of(ids)
+        with pytest.raises(error):
+            Graph(count, [0] * (count + 1)).bits(ids)
+
+    def test_bits_of_takes_bools_as_ids_0_and_1(self):
+        ids = [True, False] * 30 + list(range(5, 40))
+        assert bits_of(ids) == reference_bits_of(ids)

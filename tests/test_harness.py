@@ -205,6 +205,21 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             SweepConfig.from_json(io.StringIO(json.dumps(doc)))
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", [12.9]), ("n", [True]), ("n", ["12"]), ("trials", 2.7), ("trials", True), ("workers", "1"),
+        ("master_seed", "3"), ("repair_budget", 0.5), ("certify_classes", False), ("certify_budget", [1]),
+    ])
+    def test_rejects_non_integer_values_of_int_fields(self, key, value):
+        doc = {"version": 1, "n": [12], "p": [0.5], key: value}
+        with pytest.raises(ValueError, match="integer"):
+            SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+
+    def test_integral_floats_of_int_fields_read_as_ints(self):
+        doc = {"version": 1, "n": [12.0], "p": [0.5], "trials": 2.0, "master_seed": -3.0}
+        cfg = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+        assert cfg == SweepConfig(n_grid=(12,), p_grid=(0.5,), trials=2, master_seed=-3)
+        assert type(cfg.n_grid[0]) is int and type(cfg.trials) is int
+
     def test_rejects_unknown_keys(self):
         doc = {"version": 1, "n": [100], "p": [0.2], "bogus": 1}
         with pytest.raises(ValueError):

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquechrom.cliques import find_clique_dominating_outside, is_maximal_clique
 from cliquechrom.coloring import Coloring, monochromatic_maximal_cliques
-from cliquechrom.graph import Graph, common_non_neighbors, sample_gnp
+from cliquechrom.graph import Graph, common_non_neighbors, iter_bits, sample_gnp
 from cliquechrom.lowerbound import (
     PartitionError,
     certify,
@@ -17,6 +18,8 @@ from cliquechrom.lowerbound import (
     validate_witness,
 )
 from cliquechrom.params import build_schedule, make_schedule
+
+from oracles import reference_partition_rounds
 
 
 def complete(n):
@@ -171,6 +174,41 @@ class TestPseudoPartition:
         sch = build_schedule(10, 0.3)
         with pytest.raises(ValueError):
             pseudo_partition(g, range(1, 11), sch, seed=0, relax=0.5)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(min_value=8, max_value=400),
+        p=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+        m=st.integers(min_value=1, max_value=3),
+        relax=st.sampled_from([0.1, 0.4, 0.9]),
+        share=st.sampled_from([0.3, 0.5, 0.8]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rounds_match_the_one_vertex_at_a_time_reference(self, n, p, m, relax, share, seed):
+        # The parts, the checks and the degree order are numpy passes over
+        # the outside rows; the witness and the failure counts must be those
+        # of the loops over single vertices.
+        rng = random.Random(seed)
+        g = sample_gnp(n, p, seed)
+        sch = make_schedule(1e4, 0.2, delta=0.5, m=m, k=3, epsilon=0.005)
+        w = [v for v in range(1, n + 1) if rng.random() < share]
+        if n - len(w) < m:
+            return
+        wb = g.bits(w)
+        a, b = math.ceil(len(w) / 4), math.ceil(relax * len(w) / (4 * m))
+        if a < 1:
+            return
+        want, failures = reference_partition_rounds(g, wb, m, a, b, seed, max_attempts=20)
+        try:
+            pw = pseudo_partition(g, w, sch, seed=seed, max_attempts=20, relax=relax)
+        except PartitionError as exc:
+            assert want is None and exc.failures == failures
+            return
+        a_bits, b_bits, order, attempts = want
+        assert pw.a_set == frozenset(iter_bits(a_bits))
+        assert pw.b_sets == tuple(frozenset(iter_bits(bb)) for bb in b_bits)
+        assert pw.high_degree_order == tuple(order)
+        assert (pw.attempts, pw.failures) == (attempts, failures)
 
     def test_dominating_outsider_becomes_u1(self):
         # vertex 20 adjacent to almost all of W: it tops the degree order and
