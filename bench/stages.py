@@ -19,7 +19,8 @@ for variants A and B; on G(500, 0.3), G(2000, 0.3) and G(400, 0.9), seed
   certify     `lowerbound.certify(g, coloring, schedule, 2403, 10^4, 0.25)`,
               the certify_sweep trial's search (relax 0.25, budget 10^4);
 
-and at n in {10^6, 10^12, 10^20} with p = n^-0.3:
+and at (n, rho) in {(10^6, 0.3), (10^12, 0.3), (10^20, 0.3), (10^12, 0.45)},
+with p = n^-rho:
 
   series      `params.build_schedule(n, p)`, then `lambda_report` and
               `inequality_check` on it: the Lambda/Pi and density series.
@@ -83,8 +84,8 @@ CERTIFY_CELLS = ((500, 0.3), (2000, 0.3), (400, 0.9))
 CERTIFY_CLASSES = 2
 CERTIFY_RELAX = 0.25
 CERTIFY_BUDGET = 10_000
-SERIES_NS = (1e6, 1e12, 1e20)
-SERIES_RHO = 0.3
+# (n, rho) with p = n^-rho; (10^12, 0.45) is params_series' costliest point.
+SERIES_CELLS = ((1e6, 0.3), (1e12, 0.3), (1e20, 0.3), (1e12, 0.45))
 STAGES = ("sample_gnp", "color", "validity", "repair", "certify", "series")
 
 # A child process of --against: imports the package under argv[2] before
@@ -111,12 +112,12 @@ def _series(n: float, p: float):
 
 class _Grid:
     """The stage grid at vertex count n, the certify cells, and the series at
-    each of series_ns. The graph of each p and each certify cell, and the
-    colouring of each cell, are made once, here; `repeat` times every stage
-    once."""
+    each (n, rho) of series_cells. The graph of each p and each certify
+    cell, and the colouring of each cell, are made once, here; `repeat`
+    times every stage once."""
 
-    def __init__(self, n: int, series_ns):
-        self.n, self.series_ns = n, series_ns
+    def __init__(self, n: int, series_cells):
+        self.n, self.series_cells = n, series_cells
         self.graphs = {p: sample_gnp(n, p, SEED) for p in PS}
         self.colorings = {(p, v): upper._color(self.graphs[p], p, v)[0] for p in PS for v in VARIANTS}
         self.certify_args = {
@@ -164,18 +165,18 @@ class _Grid:
                 "partition_attempts": report.partition_attempts,
                 "exhausted": report.exhausted,
             }
-        for series_n in self.series_ns:
-            key = f"n={series_n:g},rho={SERIES_RHO}"
-            times["series"][key], (lam, ineq) = _timed(_series, series_n, series_n**-SERIES_RHO)
+        for series_n, rho in self.series_cells:
+            key = f"n={series_n:g},rho={rho}"
+            times["series"][key], (lam, ineq) = _timed(_series, series_n, series_n**-rho)
             values = {**{k: v for k, v in asdict(lam).items() if isinstance(v, float)}, **ineq.values}
             outputs[key] = {name: float.hex(value) for name, value in values.items()}
         return times, outputs
 
 
-def serve(n: int, series_ns) -> None:
+def serve(n: int, series_cells) -> None:
     """The --against child: set the grid up, print the package's file, then
     print one repeat as a JSON line per line read from stdin."""
-    grid = _Grid(n, series_ns)
+    grid = _Grid(n, series_cells)
     print(json.dumps(cliquechrom.__file__), flush=True)
     for _ in sys.stdin:
         print(json.dumps(grid.repeat()), flush=True)
@@ -191,13 +192,13 @@ def _summaries(times: dict) -> dict:
     return {stage: {cell: summarize(values) for cell, values in by_cell.items()} for stage, by_cell in times.items()}
 
 
-def _document(n: int, repeats: int, series_ns, times: dict, outputs: dict) -> dict:
+def _document(n: int, repeats: int, series_cells, times: dict, outputs: dict) -> dict:
     return {
         "grid": {"n": n, "p": list(PS), "variants": list(VARIANTS), "seed": SEED,
                  "repeats": repeats, "repair_budget": REPAIR_BUDGET,
                  "certify_cells": [list(cell) for cell in CERTIFY_CELLS], "certify_classes": CERTIFY_CLASSES,
                  "certify_relax": CERTIFY_RELAX, "certify_budget": CERTIFY_BUDGET,
-                 "series_n": list(series_ns), "series_rho": SERIES_RHO},
+                 "series_cells": [list(cell) for cell in series_cells]},
         "environment": dict(environment(), machine=platform.machine(), platform=platform.platform(),
                             src_modified=_src_modified()),
         "stages": _summaries(times),
@@ -205,15 +206,15 @@ def _document(n: int, repeats: int, series_ns, times: dict, outputs: dict) -> di
     }
 
 
-def measure(n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
-    """Run the grid at vertex count n, and the series at each of series_ns;
-    returns the BENCH document."""
-    grid = _Grid(n, series_ns)
+def measure(n: int = N, repeats: int = REPEATS, series_cells=SERIES_CELLS) -> dict:
+    """Run the grid at vertex count n, and the series at each (n, rho) of
+    series_cells; returns the BENCH document."""
+    grid = _Grid(n, series_cells)
     runs = [grid.repeat() for _ in range(repeats)]
-    return _document(n, repeats, series_ns, _join([times for times, _ in runs]), runs[-1][1])
+    return _document(n, repeats, series_cells, _join([times for times, _ in runs]), runs[-1][1])
 
 
-def measure_against(rev: str, n: int = N, repeats: int = REPEATS, series_ns=SERIES_NS) -> dict:
+def measure_against(rev: str, n: int = N, repeats: int = REPEATS, series_cells=SERIES_CELLS) -> dict:
     """Time this checkout's package and that of git revision `rev` in one
     alternating run; returns the BENCH document. ValueError when the two
     trees' outputs differ."""
@@ -229,7 +230,7 @@ def measure_against(rev: str, n: int = N, repeats: int = REPEATS, series_ns=SERI
         children = {}
         try:
             for name, src in trees.items():
-                children[name] = _Child(src, n, series_ns)
+                children[name] = _Child(src, n, series_cells)
             for repeat in range(repeats):
                 for name in list(trees)[:: 1 if repeat % 2 == 0 else -1]:
                     runs[name].append(children[name].repeat())
@@ -244,7 +245,7 @@ def measure_against(rev: str, n: int = N, repeats: int = REPEATS, series_ns=SERI
     if differing:
         raise ValueError(f"outputs differ between this checkout and {rev} in cells {differing}")
     times = {name: _join([times for times, _ in runs[name]]) for name in trees}
-    doc = _document(n, repeats, series_ns, times["change"], first)
+    doc = _document(n, repeats, series_cells, times["change"], first)
     doc["trees"] = {
         "change": {"commit": doc["environment"]["commit"], "src_modified": doc["environment"]["src_modified"],
                    "src_sha256": digests["change"]},
@@ -263,8 +264,8 @@ class _Child:
     """A `serve` process importing the package from `src`; it stays up for
     the whole run, so each tree sets its grid up once."""
 
-    def __init__(self, src: Path, n: int, series_ns):
-        args = json.dumps({"n": n, "series_ns": list(series_ns)})
+    def __init__(self, src: Path, n: int, series_cells):
+        args = json.dumps({"n": n, "series_cells": [list(cell) for cell in series_cells]})
         self.src = src
         self.proc = subprocess.Popen([sys.executable, "-c", _CHILD, str(Path(__file__).parent), str(src), args],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)

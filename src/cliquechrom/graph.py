@@ -112,6 +112,22 @@ def _pack_pays(count: int, top: int) -> bool:
     return count * (120 + top / 66) > 9800 + 0.31 * top + 34 * count
 
 
+# The largest vertex count a graph is read or sampled at. Vertex ids are bit
+# positions in the rows, so one row takes up to n/8 bytes (128 KiB at 2^20)
+# and the n + 1 row slots of even an edgeless graph take 8n bytes (8 MiB).
+# 2^20 admits the million-vertex sparse graphs an edge-list file can hold.
+# A dense sample packs n^2/8 bytes, so sampling meets the memory limit below
+# the bound, and the CLI reports that MemoryError as invalid input. The
+# bound is checked before anything is allocated, so a 12-byte header cannot
+# ask for gigabytes of row slots.
+_MAX_VERTICES = 1 << 20
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > _MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the largest supported vertex count, {_MAX_VERTICES}")
+
+
 def _rows(g: Graph, ids: list[int]) -> np.ndarray:
     """The adjacency rows of the vertices ids, one row of little-endian
     uint64 words each."""
@@ -244,10 +260,12 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n, p): each unordered pair is an edge independently w.p. p.
 
     Identical (n, p, seed) always yields the identical graph; see the module
-    docstring for the exact pair ordering in the PCG64 stream.
+    docstring for the exact pair ordering in the PCG64 stream. n must lie in
+    [1, _MAX_VERTICES].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     bands = 1 if n * (n - 1) // 2 < _BAND_MIN_PAIRS else os.cpu_count() or 1
@@ -379,14 +397,16 @@ def write_edge_list(g: Graph, fh: TextIO) -> None:
 
 
 def read_edge_list(fh: TextIO) -> Graph:
-    """Parse the "n m" / "u v" format; rejects duplicates, self-loops and
-    out-of-range ids, and requires u < v on every edge line."""
+    """Parse the "n m" / "u v" format; rejects duplicates, self-loops,
+    out-of-range ids and an n past _MAX_VERTICES, and requires u < v on
+    every edge line."""
     header = fh.readline().split()
     if len(header) != 2:
         raise ValueError("first line must be 'n m'")
     n, m = (int(tok) for tok in header)
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
+    _check_vertex_count(n)
     adj = [0] * (n + 1)
     seen = 0
     for line in fh:

@@ -54,14 +54,16 @@ def is_useful(
 ) -> bool:
     """True iff |V \\ W| >= max(s-1, 1) and every outside vertex has at least
     ell_1(W) non-neighbors in W (relax*|W| instead when relax is given)."""
-    return _useful(g, g.bits(w), sch, relax)
+    wb = g.bits(w)
+    return _useful(g, wb, _fewest_non_neighbors(g, wb)[1], sch, relax)
 
 
-def _useful(g: Graph, wb: int, sch: ParamSchedule, relax: Optional[float]) -> bool:
+def _useful(g: Graph, wb: int, fewest: int, sch: ParamSchedule, relax: Optional[float]) -> bool:
+    """`is_useful` for the bitset wb, given its `_fewest_non_neighbors`
+    count `fewest`."""
     if (g.all_bits & ~wb).bit_count() < max(sch.s - 1, 1):
         return False
-    need = _threshold(wb.bit_count(), sch, relax)
-    return _fewest_non_neighbors(g, wb)[1] >= need
+    return fewest >= _threshold(wb.bit_count(), sch, relax)
 
 
 def _fewest_non_neighbors(g: Graph, wb: int) -> tuple[Optional[int], int]:
@@ -109,23 +111,29 @@ def select_useful_class(
     (the averaging bound still holds with the actual class count); the
     evidence records `class_count_ok=False` in that case.
     """
-    classes = color_classes(g, c)
+    return _select(g, color_classes(g, c), sch, relax)
+
+
+def _select(
+    g: Graph, classes: list[tuple[int, int]], sch: ParamSchedule, relax: Optional[float]
+) -> Optional[Selection]:
+    """`select_useful_class` on the classes `color_classes` gives."""
     t = len(classes)
-    picks = (_fewest_non_neighbors(g, wb)[0] for _color, wb in classes)
-    s_vertices = [v for v in picks if v is not None]
+    scans = [_fewest_non_neighbors(g, wb) for _color, wb in classes]
+    s_vertices = [v for v, _fewest in scans if v is not None]
 
     non_neighbors = frozenset(common_non_neighbors(g, s_vertices))
     nb = bits_of(non_neighbors)
     average = len(non_neighbors) / t if t else 0.0
 
     ranked = sorted(
-        ((color, wb, (wb & nb).bit_count()) for color, wb in classes),
+        ((color, wb, (wb & nb).bit_count(), fewest) for (color, wb), (_v, fewest) in zip(classes, scans)),
         key=lambda item: (-item[2], item[0]),
     )
-    for color, wb, overlap in ranked:
+    for color, wb, overlap, fewest in ranked:
         if overlap < average:
             break
-        if _useful(g, wb, sch, relax):
+        if _useful(g, wb, fewest, sch, relax):
             return Selection(
                 class_color=color,
                 s_vertices=tuple(s_vertices),
@@ -355,9 +363,10 @@ def certify(
     exhausted=True. Finding nothing is a legitimate outcome (found=False).
     """
     require_budget(budget)
-    class_bits = dict(color_classes(g, c))
+    classes = color_classes(g, c)
+    class_bits = dict(classes)
     rng = random.Random(seed)
-    selection = select_useful_class(g, c, sch, relax)
+    selection = _select(g, classes, sch, relax)
     if selection is not None:
         first = selection.class_color
         order = [first] + [color for color in class_bits if color != first]

@@ -14,7 +14,12 @@ in one walk: it evaluates each chunk in cache-sized blocks of 2^13 levels,
 into a few buffers allocated once per walk, and collects the chunk's terms
 in one buffer. Each Pi sum still adds one pairwise reduction per chunk, and
 every element sees the same float operations in the same order, so the
-blocks change no bit of the result.
+blocks change no bit of the result. The density terms stop once a lower
+bound that rises with the level passes their running minimum (at level 2
+on every `build_schedule` cell tried from n = 10 to 10^9: the minimum sits
+at level 1), and the walk ends at the last Pi level instead of going on to
+r_i p <= 1. The bound keeps a margin for rounding, so the minimum keeps
+its bits.
 
 All powers are assembled in log-space, so nothing over- or underflows even
 for n around 1e300; scalar quantities use numpy's extended-precision long
@@ -320,9 +325,13 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
     slice per cutoff, are reduced pairwise and the chunk sums added in order.
     Within a chunk the levels are evaluated in blocks of _BLOCK, into
     buffers allocated once per walk; the chunk's terms collect in one buffer.
-    `reverse` reverses both orders (a numerical self-check) and skips the
-    minimum of ceil(x_i)(phi(r_i - 1) p - log^3(n)/ell0) over i >= 1 with
-    r_i p <= 1, which is nan when skipped, too long to walk or ell0 <= 0.
+    The third value is the minimum of ceil(x_i)(phi(r_i - 1) p - log^3(n)/ell0)
+    over i >= 1 with r_i p <= 1. Its terms are evaluated only until
+    `_density_floor` at a block's first level passes the running minimum,
+    which no later level can then lower, so the walk ends at the last Pi
+    level unless the minimum needs levels past it. `reverse` reverses both
+    orders (a numerical self-check) and skips the minimum, which is nan when
+    skipped, too long to walk or ell0 <= 0.
     Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1), and
     when x_1 or the rate at the series' last level overflows (p near 0).
     """
@@ -356,11 +365,16 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
     totals = [0.0, 0.0]
     for lo, hi in sch.levels(max(top, dens_last), reverse):
         for b in range(lo, hi, _BLOCK):
-            size = min(hi - b, _BLOCK)
+            end = max(top, dens_last)
+            if b > end:
+                break
+            size = min(hi, end + 1, b + _BLOCK) - b
             zb, xb, rb, wb = z[:size], x[:size], r[:size], w[:size]
             np.multiply(np.add(ramp[:size], b, out=zb), sch.zeta, out=zb)  # zeta i; b + ramp is exact
             np.multiply(_phi(np.expm1(zb, out=xb), out=rb, work=wb), sch.p, out=rb)  # rate(i)
             np.divide(ln_n, rb, out=xb)  # x_i
+            if dens_last >= b and _density_floor(float(rb[0]), ln_n, correction) > best:
+                dens_last = b - 1  # no level from b on can lower the minimum
             nt = min(top + 1 - b, size)
             if nt > 0:
                 seg, zt = terms[b - lo : b - lo + nt], zb[:nt]
@@ -377,6 +391,25 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
             if part.size:
                 totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
     return totals[0], totals[1], best
+
+
+def _density_floor(rate: float, ln_n: float, correction: float) -> float:
+    """A lower bound, with room for rounding, on the walk's density term at
+    the level whose rate is `rate` and at every later level.
+
+    With x = ln n / rate and c = `correction` > 0, exactly,
+    ceil(x)(rate - c) >= ln n (1 - c/rate) + min(rate - c, 0) =: B(rate):
+    for rate >= c because ceil(x) >= x, and for rate < c because
+    ceil(x) <= x + 1. B rises with the rate, and the rate rises with the
+    level, so B at one level bounds the term at every later level. The walk
+    computes the rates, and the terms from them, with relative errors far
+    below 1e-9, measured against the sizes ln n, ln n c/rate and c of B's
+    parts; the largest, about 1e-11, is phi's cancellation just above its
+    series branch at 1e-4. So B less 1e-9 of those sizes lies below every
+    computed term from this level on, and a minimum already below it keeps
+    its bits when the walk stops adding terms."""
+    scale = ln_n + ln_n * correction / rate + correction
+    return ln_n * (1.0 - correction / rate) + min(rate - correction, 0.0) - 1e-9 * scale
 
 
 def _lambda0(sch: ParamSchedule) -> np.longdouble:

@@ -27,11 +27,12 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
     stages = load_stages()
     # n = 1000 is the smallest round n at which variant B accepts p = 0.1.
     path = tmp_path / "BENCH_tiny.json"
-    path.write_text(json.dumps(stages.measure(n=1000, repeats=5, series_ns=(1e4, 1e6)), indent=1) + "\n")
+    series = ((1e4, 0.3), (1e6, 0.3), (1e6, 0.45))
+    path.write_text(json.dumps(stages.measure(n=1000, repeats=5, series_cells=series), indent=1) + "\n")
     doc = json.loads(path.read_text())
     cells = [f"{v},p={p}" for p in stages.PS for v in stages.VARIANTS]
     certify_cells = ["n=500,p=0.3", "n=2000,p=0.3", "n=400,p=0.9"]
-    series_cells = [f"n={n},rho={stages.SERIES_RHO}" for n in ("10000", "1e+06")]
+    series_cells = ["n=10000,rho=0.3", "n=1e+06,rho=0.3", "n=1e+06,rho=0.45"]
     assert set(doc["stages"]) == set(stages.STAGES)
     assert set(doc["stages"]["sample_gnp"]) == {f"p={p}" for p in stages.PS}
     for stage in ("color", "validity", "repair"):
@@ -59,9 +60,11 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
         "exhausted": rep.exhausted,
     }
     assert doc["grid"]["certify_cells"] == [[500, 0.3], [2000, 0.3], [400, 0.9]]
+    assert doc["grid"]["series_cells"] == [list(cell) for cell in series]
+    assert (1e12, 0.45) in stages.SERIES_CELLS
     for cell in series_cells:
         values = {name: float.fromhex(value) for name, value in doc["outputs"][cell].items()}
-        assert values["lam"] == values["lambda0"] + (values["pi_invlog"] + 0.7)  # m = 1 at rho = 0.3
+        assert values["lam"] == values["lambda0"] + (values["pi_invlog"] + 0.7)  # m = 1 at rho >= 0.3
         assert values["pi_alpha"] > 0.0
     for key in ("cpu", "python", "numpy", "commit", "machine"):
         assert doc["environment"][key]
@@ -80,7 +83,7 @@ def test_against_head_times_both_trees_in_one_run():
     if head is None:
         pytest.skip("--against needs a git checkout")
     stages = load_stages()
-    doc = stages.measure_against("HEAD", n=1000, repeats=2, series_ns=(1e4,))
+    doc = stages.measure_against("HEAD", n=1000, repeats=2, series_cells=((1e4, 0.3),))
     assert doc["trees"]["base"]["commit"] == head
     assert doc["trees"]["change"]["commit"] == head
     for tree in doc["trees"].values():
@@ -112,4 +115,4 @@ def test_against_fails_when_the_outputs_differ(monkeypatch):
 
     monkeypatch.setattr(stages._Child, "repeat", repeat)
     with pytest.raises(ValueError, match=r"A,p=0\.1"):
-        stages.measure_against("HEAD", n=1000, repeats=1, series_ns=(1e4,))
+        stages.measure_against("HEAD", n=1000, repeats=1, series_cells=((1e4, 0.3),))

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import cliquechrom
 from cliquechrom.cli import main
+from cliquechrom.graph import _MAX_VERTICES
 from cliquechrom.harness import PREDICTION_LABELS, RECORD_COLUMNS, ExperimentRecord
 
 
@@ -266,6 +267,10 @@ class TestSweepCompare:
         assert len(out.read_text().splitlines()) == 3
 
 
+def vertex_count_refusal(n):
+    return f"error: n={n} exceeds the largest supported vertex count, {_MAX_VERTICES}\n"
+
+
 class TestOutOfMemory:
     """Requests too large for memory are invalid input. Each command runs in
     a child whose address space is capped at 2 GB, so the test never touches
@@ -301,7 +306,7 @@ class TestOutOfMemory:
         colors.write_text("1 1\n")
         proc = self.run_capped(["validate", "--graph", graph, "--coloring", colors])
         self.check_invalid(proc)
-        assert proc.stderr == "error: MemoryError\n"
+        assert proc.stderr == vertex_count_refusal(100000000000)
 
 
 def exit_code(args):
@@ -468,6 +473,20 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         assert exit_code(["sweep", "--config", cfg, "--out", tmp_path / "out.csv"]) == 1
+
+    @pytest.mark.parametrize("command", ["gen", "validate"])
+    def test_vertex_count_past_the_bound(self, command, tmp_path):
+        # refused before anything is allocated: a 12-byte header, or --n,
+        # asks for gigabytes of rows
+        graph, colors = tmp_path / "g.edges", tmp_path / "c.colors"
+        graph.write_text("1000000000 0\n")
+        colors.write_text("1 1\n")
+        n, args = {
+            "gen": (2_000_000, ["gen", "--n", 2_000_000, "--p", 0.5, "--out", graph]),
+            "validate": (1_000_000_000, ["validate", "--graph", graph, "--coloring", colors]),
+        }[command]
+        proc = TestOutOfMemory.run_capped(args)
+        assert (proc.returncode, proc.stderr) == (1, vertex_count_refusal(n))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -247,6 +247,15 @@ class TestEdgeListFormat:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "1000000\n"
 
+    def test_vertex_count_bound(self):
+        # reading and sampling accept n up to the bound and refuse n past it
+        top = graph_module._MAX_VERTICES
+        assert read_edge_list(io.StringIO(f"{top} 0\n")).n == top
+        with pytest.raises(ValueError, match="largest supported vertex count"):
+            read_edge_list(io.StringIO(f"{top + 1} 0\n"))
+        with pytest.raises(ValueError, match="largest supported vertex count"):
+            sample_gnp(top + 1, 0.5, seed=1)
+
 
 class TestGraphBasics:
     def test_induced_relabels(self):

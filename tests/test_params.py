@@ -316,6 +316,65 @@ class TestBlockedWalk:
         self.assert_same(sch, reverse)
 
 
+class TestDensityStop:
+    """The walk stops adding density terms once a rising lower bound on every
+    later level passes the minimum, and ends at the last Pi level."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.floats(min_value=0.5, max_value=9.0).map(lambda e: 10.0**e),
+        rho=st.floats(min_value=0.001, max_value=0.7),
+        delta=st.one_of(
+            st.floats(min_value=-8.0, max_value=-0.01).map(lambda e: 10.0**e),
+            st.floats(min_value=-8.0, max_value=-0.01).map(lambda e: 1.0 - 10.0**e),
+        ),
+    )
+    def test_matches_the_full_walk_whatever_the_correction(self, n, rho, delta):
+        # delta sets ell0, so c = ln^3 n / ell0 ranges from far below to far
+        # above the rates of the walk
+        base = build_schedule(n, n**-rho)
+        sch = make_schedule(n, n**-rho, delta=delta, m=base.m, k=base.k, epsilon=base.epsilon)
+        want = walk_outcome(reference_walk_series, sch, False)
+        assert walk_outcome(params._walk_series, sch, False) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ln_n=st.floats(min_value=1.0, max_value=700.0),
+        log_rate=st.floats(min_value=-30.0, max_value=30.0),
+        log_correction=st.floats(min_value=-30.0, max_value=30.0),
+        log_steps=st.lists(st.floats(min_value=0.0, max_value=6.0), max_size=4),
+    )
+    def test_floor_lies_below_the_terms_at_every_higher_rate(self, ln_n, log_rate, log_correction, log_steps):
+        rate, correction = 10.0**log_rate, 10.0**log_correction
+        rates = rate * 10.0 ** np.array([0.0, *log_steps])
+        # the walk's float operations on each rate
+        terms = np.multiply(np.ceil(np.divide(ln_n, rates)), np.subtract(rates, correction))
+        assert params._density_floor(rate, ln_n, correction) <= terms.min()
+
+    def test_costliest_benchmark_point_walks_to_the_last_pi_level(self, monkeypatch):
+        sch = build_schedule(1e12, 1e12**-0.45)
+        top = max(sch.last_index(sch.alpha), sch.last_index(1.0 / math.log(sch.n)))
+        assert sch.last_index(1.0) > top + params._BLOCK  # r_i p <= 1 lies far beyond
+        want = reference_walk_series(sch)
+        ceiled, read = [], []
+        real_ceil, real_phi = np.ceil, params._phi
+
+        def ceil(x, *args, **kwargs):
+            ceiled.append(np.size(x))
+            return real_ceil(x, *args, **kwargs)
+
+        def phi(x, out=None, work=None):
+            if out is not None:  # a block of the walk: x = expm1(zeta i)
+                read.append(round(float(np.log1p(x.max())) / sch.zeta))
+            return real_phi(x, out=out, work=work)
+
+        monkeypatch.setattr(params.np, "ceil", ceil)
+        monkeypatch.setattr(params, "_phi", phi)
+        assert params._walk_series(sch) == want
+        assert sum(ceiled) <= 1 + params._BLOCK  # level 1, then at most one block
+        assert max(read) == top
+
+
 class TestInequalities:
     def test_k_range_fails_at_desk_scale_for_tiny_rho(self):
         # k = 101 exceeds log n until n reaches e^101
