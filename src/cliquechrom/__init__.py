@@ -20,7 +20,6 @@ from .coloring import (
     monochromatic_maximal_cliques,
     is_valid_clique_coloring,
     exact_clique_chromatic_number,
-    exact_chromatic_number,
     read_coloring,
     write_coloring,
 )
@@ -36,7 +35,6 @@ from .params import (
     predicted_bounds,
 )
 from .lowerbound import (
-    is_useful,
     select_useful_class,
     pseudo_partition,
     validate_witness,

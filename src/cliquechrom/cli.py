@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("certify", help="hunt for a monochromatic maximal clique")
     _graph_source_args(sub)
     sub.add_argument("--coloring", required=True)
-    sub.add_argument("--budget", type=int, default=10_000, help="search nodes (vertices placed)")
+    sub.add_argument("--budget", type=int, default=10_000,
+                     help="search nodes: C+ vertices placed plus Bron-Kerbosch calls and leaves")
     sub.add_argument("--relax", type=float, help="replace ell_1(W) by this fraction of |W|")
     sub.add_argument("--epsilon", type=float, default=0.005)
     sub.add_argument("--assume-p", type=float, help="p to use with --graph input")

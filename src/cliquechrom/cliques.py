@@ -25,10 +25,14 @@ one numpy pass (AND with P's words, popcount, row sums) and the first
 maximum wins, the mask the one-at-a-time scan would pick; fewer masks are
 scanned one at a time. The whole-graph call runs the same search with no
 outside masks and the identity labelling.
+
+Every search charges its nodes, the vertices it places into R, to a
+`NodeCount`; a capped count stops the search with BudgetExceeded.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -37,6 +41,8 @@ import numpy as np
 from .graph import Graph, _popcounts, _unpack, bits_of, iter_bits
 
 __all__ = [
+    "BudgetExceeded",
+    "NodeCount",
     "enumerate_maximal_cliques",
     "maximal_cliques_within",
     "is_clique",
@@ -57,6 +63,27 @@ class _Outside(NamedTuple):
     reps: list[int]  # the lowest global id with mask j
 
 
+class BudgetExceeded(Exception):
+    """A search ran out of its budget; `nodes` counts the `unit` spent."""
+
+    def __init__(self, nodes: int, unit: str = "nodes"):
+        super().__init__(f"search budget exhausted after {nodes} {unit}")
+        self.nodes = nodes
+
+
+class NodeCount:
+    """Bron-Kerbosch nodes, the vertices placed into R (one per recursive call
+    or leaf answered inline). Each call charges all its branches on entry; a
+    charge past `cap` (None: no cap) raises BudgetExceeded, so a capped
+    search yields a prefix of the uncapped order, then raises."""
+
+    __slots__ = ("nodes", "cap")
+
+    def __init__(self, cap: Optional[int] = None):
+        self.nodes = 0
+        self.cap = math.inf if cap is None else cap
+
+
 _NO_OUTSIDE = _Outside([], np.zeros((0, 1), "<u8"), [], [], [])
 # Scanning XO one mask at a time costs about 0.35 us per mask, the numpy pass
 # over the word rows about 10 us (x86, Python 3.11, numpy 2.4; 16 to 1000-bit
@@ -64,7 +91,9 @@ _NO_OUTSIDE = _Outside([], np.zeros((0, 1), "<u8"), [], [], [])
 _PIVOT_KERNEL_MIN = 32
 
 
-def _bron_kerbosch(adj: list[int], out: _Outside, r: int, p: int, x: int, xo: int) -> Iterator[int]:
+def _bron_kerbosch(
+    adj: list[int], out: _Outside, count: Optional[NodeCount], r: int, p: int, x: int, xo: int
+) -> Iterator[int]:
     """Yield bitsets of the maximal cliques K with R ⊆ K ⊆ R ∪ P such that
     no vertex of X and no outside vertex of a mask in XO is adjacent to all
     of K. All bitsets are in the labels of `adj`.
@@ -97,6 +126,10 @@ def _bron_kerbosch(adj: list[int], out: _Outside, r: int, p: int, x: int, xo: in
         if cover > best or (cover == best and out.reps[j] < out.ids[pivot]):
             pivot_adj = out.masks[j]
     cand = p & ~pivot_adj
+    if count is not None:
+        count.nodes += cand.bit_count()
+        if count.nodes > count.cap:
+            raise BudgetExceeded(count.cap)
     while cand:
         low = cand & -cand
         cand ^= low
@@ -106,7 +139,7 @@ def _bron_kerbosch(adj: list[int], out: _Outside, r: int, p: int, x: int, xo: in
         # A branch with nothing left to add is a leaf, answered here rather
         # than by a recursive call: R + v is maximal iff X and XO are empty.
         if p & row:
-            yield from _bron_kerbosch(adj, out, r | low, p & row, x & row, xo_v)
+            yield from _bron_kerbosch(adj, out, count, r | low, p & row, x & row, xo_v)
         elif not (x & row or xo_v):
             yield r | low
         p &= ~low
@@ -145,14 +178,15 @@ def enumerate_maximal_cliques(g: Graph) -> Iterator[frozenset[int]]:
         yield frozenset(iter_bits(kb))
 
 
-def maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
+def maximal_cliques_within(g: Graph, members: int, count: Optional[NodeCount] = None) -> Iterator[int]:
     """Bitsets of the cliques that are maximal in g and contained in the
-    vertex bitset `members`; raises ValueError for a bit outside [1, n]."""
+    vertex bitset `members`; raises ValueError for a bit outside [1, n].
+    The search charges its nodes to `count` (None: nothing is counted)."""
     if members & ~g.all_bits:
         raise ValueError(f"vertex ids must lie in [1, {g.n}]")
     outside = g.all_bits & ~members
     if outside == 0:
-        return _bron_kerbosch(g.adj, _NO_OUTSIDE, 0, members, 0, 0)
+        return _bron_kerbosch(g.adj, _NO_OUTSIDE, count, 0, members, 0, 0)
     # Gate: an outside vertex adjacent to all of W dominates every clique in
     # W. Narrow the candidates to at most one, then test what is left.
     # A few members narrow it, so they are taken one at a time.
@@ -163,10 +197,10 @@ def maximal_cliques_within(g: Graph, members: int) -> Iterator[int]:
         common &= g.adj[low.bit_length() - 1]
     if any(members & ~g.adj[u] == 0 for u in iter_bits(common)):
         return iter(())
-    return _projected(g, list(iter_bits(members)))
+    return _projected(g, list(iter_bits(members)), count)
 
 
-def _projected(g: Graph, ws: list[int]) -> Iterator[int]:
+def _projected(g: Graph, ws: list[int], count: Optional[NodeCount]) -> Iterator[int]:
     """The search on W = ws with label i for ws[i], each clique mapped back
     to global ids."""
     k, n = len(ws), g.n
@@ -194,7 +228,7 @@ def _projected(g: Graph, ws: list[int]) -> Iterator[int]:
         return rows.tolist() if width == 8 else [int.from_bytes(row, "little") for row in rows.tolist()]
 
     out = _Outside(ints(keys[reps]), rep_cols.view("<u8"), outadj, ws, reps.tolist())
-    for kb in _bron_kerbosch(ints(keys[ws]), out, 0, (1 << k) - 1, 0, (1 << len(out.masks)) - 1):
+    for kb in _bron_kerbosch(ints(keys[ws]), out, count, 0, (1 << k) - 1, 0, (1 << len(out.masks)) - 1):
         yield sum(1 << ws[i] for i in iter_bits(kb))
 
 
@@ -287,22 +321,20 @@ def find_clique_dominating_outside(
 
 def _dominating_search(
     adj: list[int], slots: list[int], outside: int, budget: Optional[int] = None
-) -> tuple[Optional[int], int, bool]:
+) -> tuple[Optional[int], int]:
     """Depth-first search for a non-empty clique K, no vertex of `outside`
     adjacent to all of it, with one vertex from each of a prefix of `slots`
     (vertex bitsets) inside the common neighbourhood of the vertices before.
     A run of equal slots takes ascending ids, so each clique is met once.
     Each vertex placed is one node; the search stops at the first such K or
-    once `budget` nodes (None: no cap) are spent. Returns (K or None, nodes,
-    budget spent)."""
-    nodes, spent = 0, False
+    once `budget` nodes (None: no cap) are spent. Returns (K or None, nodes)."""
+    nodes = 0
 
     def grow(depth: int, cand: int, common: int, kb: int, alive: int) -> Optional[int]:
-        nonlocal nodes, spent
+        nonlocal nodes
         more = depth + 1 < len(slots)
         while cand:
             if nodes == budget:
-                spent = True
                 return None
             nodes += 1
             low = cand & -cand
@@ -314,12 +346,12 @@ def _dominating_search(
             if more:
                 nxt = cand if slots[depth + 1] == slots[depth] else slots[depth + 1] & common
                 hit = grow(depth + 1, nxt & adj[v], common & adj[v], kb | low, left)
-                if hit is not None or spent:
+                if hit is not None:
                     return hit
         return None
 
     found = grow(0, slots[0], -1, 0, outside) if slots else None
-    return found, nodes, spent
+    return found, nodes
 
 
 def _dominating_restarts(g: Graph, wb: int, outside: int, restarts: int, seed: int) -> Optional[int]:

@@ -1,4 +1,4 @@
-"""Colorings, clique-coloring validity, and exact desk-scale solvers.
+"""Colorings, clique-coloring validity, and the exact desk-scale solver.
 
 A coloring is valid when no inclusion-maximal clique of size >= 2 is
 monochromatic; isolated vertices are ignored. The exact solver enumerates
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping, Optional, TextIO
 
-from .cliques import maximal_cliques_within
+from .cliques import BudgetExceeded, NodeCount, maximal_cliques_within
 from .graph import Graph, bits_of, iter_bits
 
 __all__ = [
@@ -25,18 +25,9 @@ __all__ = [
     "monochromatic_maximal_cliques",
     "is_valid_clique_coloring",
     "exact_clique_chromatic_number",
-    "exact_chromatic_number",
     "read_coloring",
     "write_coloring",
 ]
-
-
-class BudgetExceeded(Exception):
-    """The exact solver ran out of its budget; `nodes` counts the `unit` spent."""
-
-    def __init__(self, nodes: int, unit: str = "nodes"):
-        super().__init__(f"search budget exhausted after {nodes} {unit}")
-        self.nodes = nodes
 
 
 def require_budget(budget: int, name: str = "budget") -> None:
@@ -90,10 +81,11 @@ def color_classes(g: Graph, c: Coloring) -> list[tuple[int, int]]:
     return sorted(c.class_bits().items())
 
 
-def offending_cliques(g: Graph, members: int) -> Iterator[int]:
+def offending_cliques(g: Graph, members: int, count: Optional[NodeCount] = None) -> Iterator[int]:
     """Bitsets of the maximal cliques of g of size >= 2 inside the vertex bitset
-    `members`, which a color class equal to `members` leaves monochromatic."""
-    return (kb for kb in maximal_cliques_within(g, members) if kb.bit_count() >= 2)
+    `members`, which a color class equal to `members` leaves monochromatic.
+    The search charges its nodes to `count`, as `maximal_cliques_within`."""
+    return (kb for kb in maximal_cliques_within(g, members, count) if kb.bit_count() >= 2)
 
 
 def monochromatic_maximal_cliques(
@@ -201,13 +193,6 @@ def exact_clique_chromatic_number(
     if len(cliques) > budget:
         raise BudgetExceeded(len(cliques), "maximal cliques")
     return _solve_hypergraph_coloring(g.n, cliques, budget)
-
-
-def exact_chromatic_number(g: Graph, budget: int = 20_000_000) -> tuple[int, Coloring]:
-    """Exact ordinary chromatic number (no monochromatic edge), same engine."""
-    require_budget(budget)
-    edges = [(1 << u) | (1 << v) for u, v in g.edges()]
-    return _solve_hypergraph_coloring(g.n, edges, budget)
 
 
 # -- File format ---------------------------------------------------------------

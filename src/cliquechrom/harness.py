@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO, get_args, get_type_hints
 
-from .coloring import Coloring, is_valid_clique_coloring, require_budget
+from .coloring import Coloring, require_budget
 from .graph import sample_gnp
 from .lowerbound import certify
 from .params import build_schedule, predicted_bounds
@@ -263,16 +263,11 @@ def _run_trial(cfg: SweepConfig, n: int, p: float, procedure: str, seed: int) ->
         sch = build_schedule(n, p)
         report = certify(g, coloring, sch, seed=seed, budget=cfg.certify_budget, relax=cfg.relax)
         found = report.found and report.validated
-        # A spent search leaves validity unknown: checking it would be the
-        # unbounded enumeration the budget is there to avoid.
-        if report.exhausted:
-            valid = None
-        else:
-            valid = False if found else is_valid_clique_coloring(g, coloring)
+        # certify's hunt is complete, so only a spent budget leaves validity unknown
         return ExperimentRecord(
             **base,
             palette=classes,
-            valid=valid,
+            valid=None if report.exhausted else not found,
             s=sch.s,
             delta=sch.delta,
             certificate_found=found,

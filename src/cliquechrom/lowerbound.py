@@ -6,7 +6,8 @@ W, randomly split most of it into parts A, B_1..B_m so that each of the m
 highest-A-degree outside vertices misses one part, and search the candidate
 family C+ (k-m vertices of A, one of each B_i) depth first for a clique with
 no common neighbor outside W. Such a clique extends to a maximal clique
-inside W, certifying that the coloring is not a valid clique coloring.
+inside W, certifying that the coloring is not a valid clique coloring. When
+C+ holds none, a Bron-Kerbosch search of the whole class settles it.
 
 The thresholds the asymptotic argument uses (ell_1, usefulness) are usually
 unattainable at desk scale; every entry point therefore accepts a `relax`
@@ -23,13 +24,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cliques import _dominating_search, extend_to_maximal, is_maximal_clique
-from .coloring import Coloring, color_classes, require_budget
+from .cliques import BudgetExceeded, NodeCount, _dominating_search, extend_to_maximal, is_maximal_clique
+from .coloring import Coloring, color_classes, offending_cliques, require_budget
 from .graph import Graph, _popcounts, _rows, bits_of, common_non_neighbors, iter_bits
 from .params import ParamSchedule
 
 __all__ = [
-    "is_useful",
     "Selection",
     "select_useful_class",
     "PartitionWitness",
@@ -49,18 +49,10 @@ def _threshold(size: int, sch: ParamSchedule, relax: Optional[float]) -> float:
     return sch.ell1(size)
 
 
-def is_useful(
-    g: Graph, w: Iterable[int], sch: ParamSchedule, relax: Optional[float] = None
-) -> bool:
-    """True iff |V \\ W| >= max(s-1, 1) and every outside vertex has at least
-    ell_1(W) non-neighbors in W (relax*|W| instead when relax is given)."""
-    wb = g.bits(w)
-    return _useful(g, wb, _fewest_non_neighbors(g, wb)[1], sch, relax)
-
-
 def _useful(g: Graph, wb: int, fewest: int, sch: ParamSchedule, relax: Optional[float]) -> bool:
-    """`is_useful` for the bitset wb, given its `_fewest_non_neighbors`
-    count `fewest`."""
+    """True iff |V \\ W| >= max(s-1, 1) and every outside vertex has at least
+    ell_1(W) non-neighbors in the class bitset wb (relax*|W| instead when
+    relax is given), given its `_fewest_non_neighbors` count `fewest`."""
     if (g.all_bits & ~wb).bit_count() < max(sch.s - 1, 1):
         return False
     return fewest >= _threshold(wb.bit_count(), sch, relax)
@@ -316,7 +308,7 @@ class CertifyReport:
     found: bool
     clique: Optional[frozenset[int]]
     class_color: Optional[int]
-    method: Optional[str]  # "sampled" (the C+ search; perfbench counts this name) | "dominating"
+    method: Optional[str]  # "sampled" (C+; perfbench counts this name) | "dominating" (Bron-Kerbosch)
     candidates_tested: int  # search nodes: vertices placed by both searches
     relax: Optional[float]
     selection: Optional[Selection]
@@ -339,9 +331,6 @@ class CertifyReport:
         }
 
 
-_FALLBACK_CLASSES = 3  # dominating-search fallback is tried on this many classes
-
-
 def certify(
     g: Graph,
     c: Coloring,
@@ -353,14 +342,16 @@ def certify(
     """Hunt for a monochromatic inclusion-maximal clique (size >= 2) in some
     color class of c.
 
-    Pipeline: select a useful class, build a pseudo-partition A, B_1..B_m of
-    it, and search the candidate family C+ (k-m vertices of A, one of each
-    B_i) for a clique with no common neighbor outside the class, which
-    extends to a maximal clique inside it. Classes are taken useful class
-    first (else largest first); on the first few, the same search then runs
-    over up to max(k, 6) vertices of the whole class. All searches draw on
-    one `budget` of search nodes; spending it ends the hunt with
-    exhausted=True. Finding nothing is a legitimate outcome (found=False).
+    Classes are taken useful class first (else largest first). On each, the
+    paper's search runs with half of the budget left: build a
+    pseudo-partition A, B_1..B_m of the class and search the candidate
+    family C+ (k-m vertices of A, one of each B_i) for a clique with no
+    common neighbor outside the class, which extends to a maximal clique
+    inside it. If that finds nothing, a pivoted Bron-Kerbosch search takes
+    the class's first offending clique with the rest. Both searches draw on
+    one `budget` of search nodes, the vertices they place; spending it ends
+    the hunt with exhausted=True. The second search is complete, so
+    found=False with exhausted=False means c is a valid clique coloring.
     """
     require_budget(budget)
     classes = color_classes(g, c)
@@ -376,30 +367,31 @@ def certify(
     nodes = attempts_total = 0
     clique = method = None
     spent = False
-    for rank, color in enumerate(order):
+    for color in order:
         wb = class_bits[color]
         outside = g.all_bits & ~wb
-        searches = []
-        if nodes < budget:
-            try:
-                witness = pseudo_partition(g, iter_bits(wb), sch, seed=rng.randrange(2**63), relax=relax)
-            except (PartitionError, ValueError):
-                witness = None
-            if witness is not None:
-                attempts_total += witness.attempts
-                slots = [bits_of(witness.a_set)] * (sch.k - sch.m)
-                searches.append(("sampled", slots + [bits_of(bs) for bs in witness.b_sets]))
-        if rank < _FALLBACK_CLASSES:
-            searches.append(("dominating", [wb] * max(sch.k, 6)))
-        for how, slots in searches:
-            hit, used, spent = _dominating_search(g.adj, slots, outside, budget - nodes)
+        try:
+            witness = pseudo_partition(g, iter_bits(wb), sch, seed=rng.randrange(2**63), relax=relax)
+        except (PartitionError, ValueError):
+            witness = None
+        if witness is not None:
+            attempts_total += witness.attempts
+            slots = [bits_of(witness.a_set)] * (sch.k - sch.m) + [bits_of(bs) for bs in witness.b_sets]
+            hit, used = _dominating_search(g.adj, slots, outside, (budget - nodes) // 2)
             nodes += used
             grown = hit and extend_to_maximal(g, iter_bits(hit), forbidden=iter_bits(outside))
             if grown and len(grown) >= 2:
-                clique, method = grown, how
-            if clique or spent:
+                clique, method = grown, "sampled"
                 break
-        if clique or spent:
+        count = NodeCount(budget - nodes)
+        try:
+            kb = next(offending_cliques(g, wb, count), None)
+        except BudgetExceeded:
+            nodes, spent = budget, True
+            break
+        nodes += count.nodes
+        if kb is not None:
+            clique, method = frozenset(iter_bits(kb)), "dominating"
             break
 
     found = clique is not None

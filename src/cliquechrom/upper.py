@@ -19,15 +19,16 @@ vertex with a fresh color until the coloring is valid or a budget runs out.
 
 `run` is the whole color -> validate -> repair pipeline, shared by
 `cliquechrom color` and the sweep harness. Its report's `mono_pre_repair`
-is counted by repair's first Bron-Kerbosch pass over each color class, so
-each coloring is enumerated once. `procedure_A` and `procedure_B` are
-`run` with a repair budget of 0, so they return the unrepaired coloring.
+is counted, up to 100, by repair's first Bron-Kerbosch pass over each
+color class, so each coloring is enumerated once. `procedure_A` and
+`procedure_B` are `run` with a repair budget of 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .coloring import Coloring, color_classes, offending_cliques, require_budget
@@ -188,29 +189,19 @@ def _color(
 
 
 def procedure_A(g: Graph, p: float) -> tuple[Coloring, ProcedureReport]:
-    """Greedy phase plus a z = ceil(4/p) way split of the leftover.
-
-    Fully deterministic; the palette never exceeds s + z + 1 regardless of
-    the graph. The report carries the pre-repair monochromatic-clique count,
-    so validity failures are visible, not silent.
-    """
+    """Variant A's coloring, unrepaired: its palette never exceeds s + z + 1."""
     report, result = run(g, p, "A", repair_budget=0)
     return result.coloring, report
 
 
-def procedure_B(
-    g: Graph, p: float, epsilon: Optional[float] = None
-) -> tuple[Coloring, ProcedureReport]:
-    """Variant for p = n^(-2/5 + epsilon): greedy phase with delta = 5 eps/2,
-    then the induced leftover graph is colored by variant A with its palette
-    folded round-robin into z = ceil(8/(p sqrt(log n))) fresh colors.
-
-    Omitting epsilon derives it from p; it must come out positive. Folding a
-    too-large inner palette (cap_overflow in the report) can merge classes,
-    which the repair loop cleans up afterwards.
-    """
+def procedure_B(g: Graph, p: float, epsilon: Optional[float] = None) -> tuple[Coloring, ProcedureReport]:
+    """Variant B's coloring, unrepaired, for p = n^(-2/5 + epsilon); omitting
+    epsilon derives it from p, and it must come out positive."""
     report, result = run(g, p, "B", epsilon, repair_budget=0)
     return result.coloring, report
+
+
+_MONO_CAP = 100  # the most monochromatic cliques a count reports
 
 
 @dataclass(frozen=True)
@@ -219,7 +210,7 @@ class RepairResult:
     extra_colors: int
     recolored: tuple[int, ...]
     exhausted: bool
-    remaining_mono: int  # cliques still monochromatic on exhaustion, at most 100
+    remaining_mono: int  # cliques still monochromatic on exhaustion, at most _MONO_CAP
 
     def to_dict(self) -> dict:
         return {
@@ -231,12 +222,14 @@ class RepairResult:
 
 
 def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
-    """`repair`, plus the number of monochromatic maximal cliques in `c`.
+    """`repair`, plus the number of monochromatic maximal cliques in `c`,
+    at most _MONO_CAP.
 
-    Each class's first Bron-Kerbosch pass runs to completion and supplies
-    the count. After a recolor the class is enumerated afresh up to its
-    first offending clique; once the budget is spent, that pass and every
-    later class are counted in full for remaining_mono.
+    Each class's first Bron-Kerbosch pass supplies the count. After a
+    recolor the class is enumerated afresh up to its first offending
+    clique; once the budget is spent, that pass and every later class are
+    counted for remaining_mono. Each count stops at _MONO_CAP cliques of a
+    class, so no dense class is enumerated in full.
     """
     require_budget(budget, "repair budget")
     assignment = list(c.colors)
@@ -253,7 +246,7 @@ def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
                 break
             exhausted = len(recolored) >= budget
             if first_pass or exhausted:
-                count = 1 + sum(1 for _ in cliques)
+                count = 1 + sum(1 for _ in islice(cliques, _MONO_CAP - 1))
                 found += count if first_pass else 0
                 remaining += count if exhausted else 0
             if exhausted:
@@ -270,9 +263,9 @@ def _repair(g: Graph, c: Coloring, budget: int) -> tuple[RepairResult, int]:
         extra_colors=len(set(assignment)) - len(set(c.colors)),
         recolored=tuple(recolored),
         exhausted=exhausted,
-        remaining_mono=min(remaining, 100),
+        remaining_mono=min(remaining, _MONO_CAP),
     )
-    return result, found
+    return result, min(found, _MONO_CAP)
 
 
 def repair(g: Graph, c: Coloring, budget: int = 1000) -> RepairResult:

@@ -2,7 +2,8 @@
 
 Everything here enumerates subsets or assignments outright, with no shared
 code paths into the library; the library must agree with these on small
-instances.
+instances. The exception is the last section: two entry points over library
+internals that only the tests call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from cliquechrom.coloring import Coloring, _solve_hypergraph_coloring
 from cliquechrom.graph import Graph
+from cliquechrom.lowerbound import _fewest_non_neighbors, _useful
 
 
 def subset_is_clique(g: Graph, mask: int) -> bool:
@@ -316,3 +319,21 @@ def reference_walk_series(sch, reverse: bool = False) -> tuple[float, float, flo
             if part.size:
                 totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
     return totals[0], totals[1], best
+
+
+# -- Entry points over library internals -------------------------------------------
+
+
+def exact_chromatic_number(g: Graph, budget: int = 20_000_000) -> tuple[int, Coloring]:
+    """Exact ordinary chromatic number (no monochromatic edge), by the exact
+    clique-coloring engine with every edge as a clique."""
+    edges = [(1 << u) | (1 << v) for u, v in g.edges()]
+    return _solve_hypergraph_coloring(g.n, edges, budget)
+
+
+def is_useful(g: Graph, w: Iterable[int], sch, relax: Optional[float] = None) -> bool:
+    """The library's usefulness test for the vertex set w: |V \\ W| >= max(s-1, 1)
+    and every outside vertex has at least ell_1(W) non-neighbors in W
+    (relax*|W| instead when relax is given)."""
+    wb = g.bits(w)
+    return _useful(g, wb, _fewest_non_neighbors(g, wb)[1], sch, relax)

@@ -14,7 +14,6 @@ import time
 from cliquechrom.cliques import enumerate_maximal_cliques, is_maximal_clique
 from cliquechrom.coloring import (
     Coloring,
-    exact_chromatic_number,
     exact_clique_chromatic_number,
     is_valid_clique_coloring,
     monochromatic_maximal_cliques,
@@ -33,7 +32,7 @@ from cliquechrom.params import (
 )
 from cliquechrom.upper import procedure_A, repair
 
-from oracles import brute_is_valid, brute_maximal_cliques
+from oracles import brute_is_valid, brute_maximal_cliques, exact_chromatic_number
 
 
 def _report(num, name, ok, detail=""):

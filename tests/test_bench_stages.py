@@ -78,13 +78,24 @@ def git_head():
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def head_with_worktree():
+    """HEAD plus the uncommitted changes to tracked files, as a commit that no
+    ref points at (`git stash create`); HEAD itself on a clean tree. Measured
+    against it, the two trees hold the same sources even while a change that
+    alters the outputs is not yet committed."""
+    proc = subprocess.run(["git", "stash", "create"], cwd=STAGES_PY.parent, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip() or git_head()
+
+
 def test_against_head_times_both_trees_in_one_run():
     head = git_head()
     if head is None:
         pytest.skip("--against needs a git checkout")
     stages = load_stages()
-    doc = stages.measure_against("HEAD", n=1000, repeats=2, series_cells=((1e4, 0.3),))
-    assert doc["trees"]["base"]["commit"] == head
+    base = head_with_worktree()
+    doc = stages.measure_against(base, n=1000, repeats=2, series_cells=((1e4, 0.3),))
+    assert doc["trees"]["base"]["commit"] == base
     assert doc["trees"]["change"]["commit"] == head
     for tree in doc["trees"].values():
         assert len(tree["src_sha256"]) == 64
@@ -115,4 +126,4 @@ def test_against_fails_when_the_outputs_differ(monkeypatch):
 
     monkeypatch.setattr(stages._Child, "repeat", repeat)
     with pytest.raises(ValueError, match=r"A,p=0\.1"):
-        stages.measure_against("HEAD", n=1000, repeats=1, series_cells=((1e4, 0.3),))
+        stages.measure_against(head_with_worktree(), n=1000, repeats=1, series_cells=((1e4, 0.3),))

@@ -141,16 +141,18 @@ class TestCertify:
         assert doc["found"] is True and doc["validated"] is True
 
     def test_spent_budget_exits_2(self, tmp_path):
-        # The fallback search over the odd vertices of G(400, 0.9) would walk
-        # every clique of up to max(k, 6) of them; the budget stops it.
-        proc = TestOutOfMemory.run_capped(
-            ["certify", "--n", 400, "--p", 0.9, "--seed", 1, "--coloring", odd_even(tmp_path, 400),
-             "--relax", 0.25, "--budget", 1000], timeout=30,
-        )
+        args = ["certify", "--n", 400, "--p", 0.9, "--seed", 1, "--coloring", odd_even(tmp_path, 400),
+                "--relax", 0.25, "--budget"]
+        proc = TestOutOfMemory.run_capped(args + [0], timeout=30)
         assert proc.returncode == 2 and proc.stderr == ""
         doc = strict_json(proc.stdout)
         assert doc["exhausted"] is True and doc["found"] is False
-        assert doc["candidates_tested"] == 1000
+        assert doc["candidates_tested"] == 0
+        # A budget of 1000 nodes finds a certificate on the same instance.
+        proc = TestOutOfMemory.run_capped(args + [1000], timeout=30)
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = strict_json(proc.stdout)
+        assert doc["found"] is True and doc["validated"] is True and doc["exhausted"] is False
 
 
 def odd_even(directory, n):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquechrom.cliques import (
+    BudgetExceeded,
+    NodeCount,
     _Outside,
     _dominating_search,
     _outside_pivot,
@@ -154,6 +156,36 @@ class TestMemberRange:
             entry(g, members)
 
 
+class TestNodeCount:
+    """A capped search yields a prefix of the uncapped order, then raises."""
+
+    @pytest.mark.parametrize("share", [1.0, 0.6], ids=["whole-graph", "class"])
+    def test_capped_search_is_a_prefix_of_the_uncapped_one(self, share):
+        g = sample_gnp(40, 0.7, seed=4)
+        rng = random.Random(4)
+        members = g.bits(v for v in range(1, 41) if rng.random() < share)
+        full = NodeCount()
+        order = list(maximal_cliques_within(g, members, full))
+        again = NodeCount()
+        assert list(maximal_cliques_within(g, members, again)) == order
+        assert again.nodes == full.nodes > len(order)
+        for cap in (0, 1, full.nodes // 3, full.nodes - 1):
+            count, got = NodeCount(cap), []
+            with pytest.raises(BudgetExceeded, match=f"after {cap} nodes"):
+                for kb in maximal_cliques_within(g, members, count):
+                    got.append(kb)
+            assert got == order[: len(got)] and count.nodes > cap
+        exact = NodeCount(full.nodes)
+        assert list(maximal_cliques_within(g, members, exact)) == order
+        assert exact.nodes == full.nodes
+
+    def test_gated_class_costs_no_node(self):
+        # vertex 4 is adjacent to both members, so nothing is searched
+        g = Graph.from_edges(4, [(1, 2), (1, 4), (2, 4)])
+        count = NodeCount(0)
+        assert list(maximal_cliques_within(g, 0b110, count)) == [] and count.nodes == 0
+
+
 class TestNetworkxCrossCheck:
     """Both enumerations against networkx's independent `find_cliques`. At
     p = 0.7 only n = 50 is checked: G(100, 0.7) already has about 4*10^5
@@ -254,23 +286,22 @@ class TestDominatingSearchEngine:
         # The only clique dominating vertex 4 pairs 3 (slot A) with 1 (slot B).
         g = Graph.from_edges(4, [(1, 3), (2, 3), (2, 4), (3, 4)])
         a, b, outside = 1 << 3, (1 << 1) | (1 << 2), 1 << 4
-        assert _dominating_search(g.adj, [a, b], outside) == ((1 << 1) | (1 << 3), 2, False)
+        assert _dominating_search(g.adj, [a, b], outside) == ((1 << 1) | (1 << 3), 2)
         # Two slots over {2, 3} meet the pair {2, 3} once, never as {3, 2}.
         w = (1 << 2) | (1 << 3)
-        assert _dominating_search(complete(4).adj, [w, w], 0b10010) == (None, 3, False)
+        assert _dominating_search(complete(4).adj, [w, w], 0b10010) == (None, 3)
 
     def test_budget_counts_vertices_placed(self):
         g = sample_gnp(60, 0.9, seed=5)
         w = sum(1 << v for v in range(1, 61, 2))
         outside = g.all_bits & ~w
-        hit, nodes, spent = _dominating_search(g.adj, [w] * 3, outside)
-        assert hit is None and not spent and nodes > 10
-        for budget in (0, 1, 10, nodes - 1):
-            assert _dominating_search(g.adj, [w] * 3, outside, budget) == (None, budget, True)
-        assert _dominating_search(g.adj, [w] * 3, outside, nodes) == (None, nodes, False)
+        hit, nodes = _dominating_search(g.adj, [w] * 3, outside)
+        assert hit is None and nodes > 10
+        for budget in (0, 1, 10, nodes - 1, nodes):
+            assert _dominating_search(g.adj, [w] * 3, outside, budget) == (None, budget)
 
     def test_no_slots_finds_nothing(self):
-        assert _dominating_search(complete(3).adj, [], 0b10) == (None, 0, False)
+        assert _dominating_search(complete(3).adj, [], 0b10) == (None, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -288,7 +319,6 @@ def test_engine_over_one_class_matches_the_dominating_dfs(n, p, seed, w_seed, k_
     outside = g.all_bits & ~w
     if outside == 0:
         w, outside = w & ~(1 << n), 1 << n  # the oracle accepts K = {} there
-    hit, nodes, spent = _dominating_search(g.adj, [w] * k_max, outside)
+    hit, nodes = _dominating_search(g.adj, [w] * k_max, outside)
     assert hit == _dominating_dfs(g.adj, w, outside, k_max)
-    assert not spent
     assert _dominating_search(g.adj, [w] * k_max, outside, nodes)[0] == hit

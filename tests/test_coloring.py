@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from cliquechrom.coloring import (
     BudgetExceeded,
     Coloring,
-    exact_chromatic_number,
     exact_clique_chromatic_number,
     is_valid_clique_coloring,
     monochromatic_maximal_cliques,
@@ -23,7 +22,13 @@ from cliquechrom.lowerbound import certify, select_useful_class
 from cliquechrom.params import build_schedule
 from cliquechrom.upper import repair
 
-from oracles import brute_clique_chromatic, brute_is_valid, brute_monochromatic_maximal, reference_class_bits
+from oracles import (
+    brute_clique_chromatic,
+    brute_is_valid,
+    brute_monochromatic_maximal,
+    exact_chromatic_number,
+    reference_class_bits,
+)
 
 
 def complete(n):
@@ -165,7 +170,6 @@ def test_coloring_of_the_wrong_length_is_rejected(name, colors):
 
 NEGATIVE_BUDGET_CHECKS = {
     "exact_clique_chromatic_number": lambda b: exact_clique_chromatic_number(complete(3), budget=b),
-    "exact_chromatic_number": lambda b: exact_chromatic_number(complete(3), budget=b),
     "repair": lambda b: repair(complete(3), Coloring((1, 1, 1)), budget=b),
     "certify": lambda b: certify(complete(3), Coloring((1, 1, 1)), build_schedule(3, 0.5), seed=0, budget=b),
     "SweepConfig.repair_budget": lambda b: SweepConfig(n_grid=(10,), p_grid=(0.5,), repair_budget=b),

@@ -96,6 +96,28 @@ class TestSweep:
         if rec.certificate_found:
             assert rec.valid is False
 
+    def test_certify_trial_decides_validity_without_a_validity_pass(self, monkeypatch):
+        from cliquechrom import coloring
+        from cliquechrom.graph import sample_gnp
+
+        cfg = tiny_config(procedures=("certify",), trials=2, relax=0.25)
+        expected = {}
+        for classes in (2, 6, 30):
+            for rec in run_sweep(dataclasses.replace(cfg, certify_classes=classes)).records:
+                colors = coloring.Coloring(tuple(1 + (v - 1) % classes for v in range(1, rec.n + 1)))
+                expected[classes, rec.seed] = coloring.is_valid_clique_coloring(sample_gnp(rec.n, rec.p, rec.seed), colors)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a separate validity pass ran")
+
+        # every validity check in the package goes through this function
+        monkeypatch.setattr(coloring, "monochromatic_maximal_cliques", no_pass)
+        for classes in (2, 6, 30):
+            for rec in run_sweep(dataclasses.replace(cfg, certify_classes=classes)).records:
+                assert rec.error == "" and rec.valid is expected[classes, rec.seed]
+                assert rec.certificate_found is not rec.valid
+        assert True in expected.values()
+
     def test_rho_grid_resolves_per_cell(self):
         cfg = tiny_config(n_grid=(100,), p_grid=(), rho_grid=(0.25,))
         rec = run_sweep(cfg).records[0]

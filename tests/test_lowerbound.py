@@ -12,14 +12,13 @@ from cliquechrom.graph import Graph, common_non_neighbors, iter_bits, sample_gnp
 from cliquechrom.lowerbound import (
     PartitionError,
     certify,
-    is_useful,
     pseudo_partition,
     select_useful_class,
     validate_witness,
 )
 from cliquechrom.params import build_schedule, make_schedule
 
-from oracles import reference_partition_rounds
+from oracles import is_useful, reference_partition_rounds
 
 
 def complete(n):
@@ -53,7 +52,6 @@ class TestVertexIds:
     N = 60
     W = list(range(1, 31))
     ENTRY_POINTS = {
-        "is_useful": lambda g, sch, w: is_useful(g, w, sch),
         "pseudo_partition": lambda g, sch, w: pseudo_partition(g, w, sch, seed=1, relax=0.5),
         "find_clique_dominating_outside": lambda g, sch, w: find_clique_dominating_outside(g, w),
         "common_non_neighbors": lambda g, sch, w: common_non_neighbors(g, w),
@@ -275,16 +273,39 @@ class TestCertify:
             assert not rep.exhausted and rep.candidates_tested <= 1000
 
     def test_spent_budget_ends_the_hunt(self):
-        # On G(400, 0.9) a dominating clique of the odd vertices needs more
-        # than max(k, 6) of them, so the searches would walk every small clique.
+        # On G(400, 0.9) the outside vertices dominate every small clique of
+        # the odd vertices, so a certificate has about 30 of them.
         g = sample_gnp(400, 0.9, seed=1)
         coloring = Coloring(tuple(1 + (v % 2) for v in range(1, 401)))
         sch = build_schedule(400, 0.9)
-        for budget in (0, 1000):
-            rep = certify(g, coloring, sch, seed=1, budget=budget, relax=0.25)
-            assert rep.exhausted and not rep.found and not rep.validated
-            assert rep.candidates_tested == budget
-            assert rep.to_dict()["exhausted"] is True
+        rep = certify(g, coloring, sch, seed=1, budget=0, relax=0.25)
+        assert rep.exhausted and not rep.found and not rep.validated
+        assert rep.candidates_tested == 0
+        assert rep.to_dict()["exhausted"] is True
+        # The Bron-Kerbosch search finds one well within 1000 nodes.
+        rep = certify(g, coloring, sch, seed=1, budget=1000, relax=0.25)
+        assert rep.found and rep.validated and not rep.exhausted
+        assert rep.method == "dominating" and rep.candidates_tested <= 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=40),
+        p=st.sampled_from([0.2, 0.5, 0.8]),
+        classes=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_an_unspent_hunt_decides_validity(self, n, p, classes, seed):
+        nx = pytest.importorskip("networkx")
+        g = sample_gnp(n, p, seed)
+        rng = random.Random(seed)
+        coloring = Coloring(tuple(rng.randint(1, classes) for _ in range(n)))
+        ng = nx.Graph()
+        ng.add_nodes_from(range(1, n + 1))
+        ng.add_edges_from(g.edges())
+        mono = any(len(k) >= 2 and len({coloring.color_of(v) for v in k}) == 1 for k in nx.find_cliques(ng))
+        rep = certify(g, coloring, build_schedule(n, p), seed=seed, budget=10**6, relax=0.25)
+        assert not rep.exhausted
+        assert rep.found == rep.validated == mono
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError, match="budget must be >= 0"):

@@ -235,9 +235,9 @@ class TestRun:
     def test_counts_without_a_separate_validity_pass(self, monkeypatch):
         calls = []
 
-        def counted(g, members):
+        def counted(g, members, count=None):
             calls.append(members)
-            return maximal_cliques_within(g, members)
+            return maximal_cliques_within(g, members, count)
 
         monkeypatch.setattr(coloring, "maximal_cliques_within", counted)
         # n=100, p=0.2, seed 12: variant B leaves two monochromatic cliques
@@ -246,6 +246,18 @@ class TestRun:
         # One enumeration per class, plus one restart per recolour; a
         # separate validity pass would add another per class.
         assert len(calls) == rep.palette + len(fixed.recolored)
+
+
+def test_repair_counts_stop_at_one_hundred():
+    # K_{3,3,3,3,3} has 3^5 = 243 maximal cliques, all in one class
+    parts = [range(3 * i + 1, 3 * i + 4) for i in range(5)]
+    g = Graph.from_edges(15, [(u, v) for i, a in enumerate(parts) for b in parts[i + 1 :] for u in a for v in b])
+    c = Coloring((1,) * 15)
+    assert len(monochromatic_maximal_cliques(g, c, limit=1000)) == 243
+    for budget in (0, 1000):
+        fixed, count = upper._repair(g, c, budget)
+        assert count == 100
+        assert fixed.remaining_mono == (100 if budget == 0 else 0)
 
 
 @settings(max_examples=150, deadline=None)
