@@ -19,11 +19,16 @@ for variants A and B; on G(500, 0.3), G(2000, 0.3) and G(400, 0.9), seed
   certify     `lowerbound.certify(g, coloring, schedule, 2403, 10^4, 0.25)`,
               the certify_sweep trial's search (relax 0.25, budget 10^4);
 
-and at (n, rho) in {(10^6, 0.3), (10^12, 0.3), (10^20, 0.3), (10^12, 0.45)},
+at (n, rho) in {(10^6, 0.3), (10^12, 0.3), (10^20, 0.3), (10^12, 0.45)},
 with p = n^-rho:
 
   series      `params.build_schedule(n, p)`, then `lambda_report` and
-              `inequality_check` on it: the Lambda/Pi and density series.
+              `inequality_check` on it: the Lambda/Pi and density series;
+
+and on G(n, p), seed 2403, with n in {35, 40} and p in {0.3, 0.7}:
+
+  exact       `coloring.exact_clique_chromatic_number(g, budget=20000)`,
+              the exact_small op: clique list, then backtracking.
 
 Each graph, colouring and schedule is made once, outside the timed region
 of the stages that use it. Repeats are interleaved (every stage once per
@@ -34,8 +39,9 @@ machine, the Python and numpy versions, the commit, and each cell's
 outputs (palette, monochromatic cliques before repair, recoloured
 vertices; whether certify found a clique, the clique, its method, search
 nodes, partition attempts and exhaustion; every Lambda report field and
-inequality value as `float.hex`), so two files can be checked for the
-same behaviour before their times are compared.
+inequality value as `float.hex`; the exact value and witness colours, or
+the node count at which the budget ran out), so two files can be checked
+for the same behaviour before their times are compared.
 
 With --against, the package of <rev> (extracted with `git archive` into a
 temporary directory) is timed in the same run as this checkout's `src/`.
@@ -67,7 +73,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cliquechrom  # noqa: E402
 from cliquechrom import upper  # noqa: E402
-from cliquechrom.coloring import Coloring, monochromatic_maximal_cliques  # noqa: E402
+from cliquechrom.coloring import (  # noqa: E402
+    BudgetExceeded,
+    Coloring,
+    exact_clique_chromatic_number,
+    monochromatic_maximal_cliques,
+)
 from cliquechrom.graph import sample_gnp  # noqa: E402
 from cliquechrom.lowerbound import certify  # noqa: E402
 from cliquechrom.params import build_schedule, inequality_check, lambda_report  # noqa: E402
@@ -86,7 +97,10 @@ CERTIFY_RELAX = 0.25
 CERTIFY_BUDGET = 10_000
 # (n, rho) with p = n^-rho; (10^12, 0.45) is params_series' costliest point.
 SERIES_CELLS = ((1e6, 0.3), (1e12, 0.3), (1e20, 0.3), (1e12, 0.45))
-STAGES = ("sample_gnp", "color", "validity", "repair", "certify", "series")
+# (n, p) of the exact solves; at p = 0.3 the backtracking sets the time.
+EXACT_CELLS = ((35, 0.3), (35, 0.7), (40, 0.3), (40, 0.7))
+EXACT_BUDGET = 20_000  # exact_small's node budget
+STAGES = ("sample_gnp", "color", "validity", "repair", "certify", "series", "exact")
 
 # A child process of --against: imports the package under argv[2] before
 # this module (from the directory argv[1]), whose imports then find it
@@ -110,11 +124,20 @@ def _series(n: float, p: float):
     return lam, inequality_check(sch, lam)
 
 
+def _exact(g) -> dict:
+    try:
+        value, witness = exact_clique_chromatic_number(g, budget=EXACT_BUDGET)
+    except BudgetExceeded as exc:
+        return {"budget_exceeded": exc.nodes}
+    return {"value": value, "witness": list(witness.colors)}
+
+
 class _Grid:
-    """The stage grid at vertex count n, the certify cells, and the series at
-    each (n, rho) of series_cells. The graph of each p and each certify
-    cell, and the colouring of each cell, are made once, here; `repeat`
-    times every stage once."""
+    """The stage grid at vertex count n, the certify cells, the series at
+    each (n, rho) of series_cells, and the exact solve at each exact cell.
+    The graph of each p and of each certify and exact cell, and the
+    colouring of each cell, are made once, here; `repeat` times every stage
+    once."""
 
     def __init__(self, n: int, series_cells):
         self.n, self.series_cells = n, series_cells
@@ -131,6 +154,7 @@ class _Grid:
             )
             for cn, cp in CERTIFY_CELLS
         }
+        self.exact_graphs = {f"n={en},p={ep}": sample_gnp(en, ep, SEED) for en, ep in EXACT_CELLS}
 
     def repeat(self) -> tuple[dict, dict]:
         """One time per stage and cell, and each cell's outputs."""
@@ -170,6 +194,8 @@ class _Grid:
             times["series"][key], (lam, ineq) = _timed(_series, series_n, series_n**-rho)
             values = {**{k: v for k, v in asdict(lam).items() if isinstance(v, float)}, **ineq.values}
             outputs[key] = {name: float.hex(value) for name, value in values.items()}
+        for key, g in self.exact_graphs.items():
+            times["exact"][key], outputs[key] = _timed(_exact, g)
         return times, outputs
 
 
@@ -198,7 +224,8 @@ def _document(n: int, repeats: int, series_cells, times: dict, outputs: dict) ->
                  "repeats": repeats, "repair_budget": REPAIR_BUDGET,
                  "certify_cells": [list(cell) for cell in CERTIFY_CELLS], "certify_classes": CERTIFY_CLASSES,
                  "certify_relax": CERTIFY_RELAX, "certify_budget": CERTIFY_BUDGET,
-                 "series_cells": [list(cell) for cell in series_cells]},
+                 "series_cells": [list(cell) for cell in series_cells],
+                 "exact_cells": [list(cell) for cell in EXACT_CELLS], "exact_budget": EXACT_BUDGET},
         "environment": dict(environment(), machine=platform.machine(), platform=platform.platform(),
                             src_modified=_src_modified()),
         "stages": _summaries(times),

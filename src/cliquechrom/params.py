@@ -112,9 +112,13 @@ def _phi(x, out=None, work=None):
 
     `out` and `work` are optional buffers shaped like x (neither may be x):
     the result lands in `out`, and `work` holds a temporary. The series is
-    evaluated only when some |x| < 1e-4, and selected by that mask."""
+    evaluated only when some |x| < 1e-4, and selected by that mask; a
+    minimum of at least 1e-4 rules that out in one pass (NaN or negative x
+    takes the mask)."""
     y = np.log1p(x, out=out)
     y = np.subtract(np.multiply(np.add(1.0, x, out=work), y, out=out), x, out=out)
+    if x.min(initial=math.inf) >= 1e-4:
+        return y
     small = np.abs(x, out=work) < 1e-4
     if not small.any():
         return y

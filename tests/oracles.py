@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from cliquechrom.cliques import BudgetExceeded
 from cliquechrom.coloring import Coloring, _solve_hypergraph_coloring
 from cliquechrom.graph import Graph
 from cliquechrom.lowerbound import _fewest_non_neighbors, _useful
@@ -319,6 +320,72 @@ def reference_walk_series(sch, reverse: bool = False) -> tuple[float, float, flo
             if part.size:
                 totals[j] += float(np.add.reduce(part[::-1] if reverse else part))
     return totals[0], totals[1], best
+
+
+# The exact solver as it was before the class bitsets, kept unchanged: each
+# clique is checked when its largest member gets a colour, by walking its
+# other members bit by bit. The library's solver must return the same value
+# and witness, or raise BudgetExceeded at the same node count.
+def reference_solve_hypergraph_coloring(
+    n: int, cliques: list[int], budget: int
+) -> tuple[int, Coloring]:
+    """Smallest palette such that no clique bitset is monochromatic, found by
+    canonical backtracking over palette sizes 1, 2, ...
+
+    `budget` counts assignment attempts across the whole search.
+    """
+    if n == 0:
+        return 0, Coloring(())
+    if not cliques:
+        return 1, Coloring((1,) * n)
+
+    # For each vertex, the cliques it completes (it is the largest member).
+    closing: list[list[int]] = [[] for _ in range(n + 1)]
+    for kb in cliques:
+        closing[kb.bit_length() - 1].append(kb)
+
+    nodes = 0
+
+    def search(q: int) -> Optional[list[int]]:
+        nonlocal nodes
+        assignment = [0] * (n + 1)
+
+        def rec(v: int, used: int) -> bool:
+            nonlocal nodes
+            if v > n:
+                return True
+            cap = min(q, used + 1)  # canonical: at most one brand-new color
+            for color in range(1, cap + 1):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(nodes)
+                assignment[v] = color
+                ok = True
+                for kb in closing[v]:
+                    mono = True
+                    rest = kb & ~(1 << v)
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if assignment[low.bit_length() - 1] != color:
+                            mono = False
+                            break
+                    if mono:
+                        ok = False
+                        break
+                if ok and rec(v + 1, max(used, color)):
+                    return True
+            assignment[v] = 0
+            return False
+
+        return assignment if rec(1, 0) else None
+
+    q = 1
+    while True:
+        got = search(q)
+        if got is not None:
+            return q, Coloring(tuple(got[1:]))
+        q += 1
 
 
 # -- Entry points over library internals -------------------------------------------

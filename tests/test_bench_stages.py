@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquechrom.coloring import Coloring
+from cliquechrom.coloring import BudgetExceeded, Coloring, exact_clique_chromatic_number
 from cliquechrom.graph import sample_gnp
 from cliquechrom.lowerbound import certify
 from cliquechrom.params import build_schedule
@@ -33,17 +33,19 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
     cells = [f"{v},p={p}" for p in stages.PS for v in stages.VARIANTS]
     certify_cells = ["n=500,p=0.3", "n=2000,p=0.3", "n=400,p=0.9"]
     series_cells = ["n=10000,rho=0.3", "n=1e+06,rho=0.3", "n=1e+06,rho=0.45"]
+    exact_cells = ["n=35,p=0.3", "n=35,p=0.7", "n=40,p=0.3", "n=40,p=0.7"]
     assert set(doc["stages"]) == set(stages.STAGES)
     assert set(doc["stages"]["sample_gnp"]) == {f"p={p}" for p in stages.PS}
     for stage in ("color", "validity", "repair"):
         assert set(doc["stages"][stage]) == set(cells)
     assert set(doc["stages"]["certify"]) == set(certify_cells)
     assert set(doc["stages"]["series"]) == set(series_cells)
+    assert set(doc["stages"]["exact"]) == set(exact_cells)
     for by_cell in doc["stages"].values():
         for row in by_cell.values():
             assert len(row["values"]) == 5
             assert 0 < row["q1"] <= row["median"] <= row["q3"]
-    assert set(doc["outputs"]) == set(cells) | set(certify_cells) | set(series_cells)
+    assert set(doc["outputs"]) == set(cells) | set(certify_cells) | set(series_cells) | set(exact_cells)
     for cell in certify_cells:
         out = doc["outputs"][cell]
         assert set(out) == {"found", "method", "clique", "candidates_tested", "partition_attempts", "exhausted"}
@@ -66,6 +68,14 @@ def test_tiny_grid_file_has_every_stage_with_positive_medians(tmp_path):
         values = {name: float.fromhex(value) for name, value in doc["outputs"][cell].items()}
         assert values["lam"] == values["lambda0"] + (values["pi_invlog"] + 0.7)  # m = 1 at rho >= 0.3
         assert values["pi_alpha"] > 0.0
+    assert doc["grid"]["exact_cells"] == [list(cell) for cell in stages.EXACT_CELLS]
+    for en, ep in stages.EXACT_CELLS:
+        try:
+            value, witness = exact_clique_chromatic_number(sample_gnp(en, ep, stages.SEED), stages.EXACT_BUDGET)
+            expected = {"value": value, "witness": list(witness.colors)}
+        except BudgetExceeded as exc:
+            expected = {"budget_exceeded": exc.nodes}
+        assert doc["outputs"][f"n={en},p={ep}"] == expected
     for key in ("cpu", "python", "numpy", "commit", "machine"):
         assert doc["environment"][key]
 

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from cliquechrom.coloring import (
     BudgetExceeded,
     Coloring,
+    _solve_hypergraph_coloring,
     exact_clique_chromatic_number,
     is_valid_clique_coloring,
     monochromatic_maximal_cliques,
+    offending_cliques,
     read_coloring,
     write_coloring,
 )
@@ -28,6 +30,7 @@ from oracles import (
     brute_monochromatic_maximal,
     exact_chromatic_number,
     reference_class_bits,
+    reference_solve_hypergraph_coloring,
 )
 
 
@@ -151,6 +154,44 @@ class TestExactSolver:
         with pytest.raises(BudgetExceeded, match="after 21 nodes"):
             exact_clique_chromatic_number(petersen(), budget=20)
         assert exact_clique_chromatic_number(petersen(), budget=31)[0] == 3
+
+
+def solve_outcome(solve, n, cliques, budget):
+    """(value, witness colours), or the node count BudgetExceeded reports."""
+    try:
+        value, witness = solve(n, cliques, budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.nodes
+    return value, witness.colors
+
+
+class TestClassBitsetSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=14),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        budget=st.integers(min_value=0, max_value=3000),
+        edges=st.booleans(),
+    )
+    def test_matches_the_reference_solver(self, n, p, seed, budget, edges):
+        g = sample_gnp(n, p, seed)
+        if edges:  # as oracles.exact_chromatic_number passes them
+            cliques = [(1 << u) | (1 << v) for u, v in g.edges()]
+        else:
+            cliques = list(offending_cliques(g, g.all_bits))
+        assert solve_outcome(_solve_hypergraph_coloring, n, cliques, budget) == solve_outcome(
+            reference_solve_hypergraph_coloring, n, cliques, budget
+        )
+
+    # A singleton can never be bichromatic, so no palette would colour
+    # [0b10]; vertex 0 and vertices past n do not exist.
+    @pytest.mark.parametrize(
+        "n, cliques", [(3, [0b10]), (3, [0]), (3, [1 << 5]), (3, [0b11]), (3, [0b110, -6]), (0, [0b110])]
+    )
+    def test_degenerate_clique_bitsets_are_rejected(self, n, cliques):
+        with pytest.raises(ValueError, match=rf"needs 2 or more members, all in \[1, {n}\]"):
+            _solve_hypergraph_coloring(n, cliques, 10**5)
 
 
 WRONG_LENGTH_CHECKS = {
