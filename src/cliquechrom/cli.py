@@ -164,18 +164,15 @@ def cmd_params(args) -> int:
         "predicted": [asdict(bound) for bound in predicted_bounds(args.n, p)],
     }
     # At extreme n the defining series outgrow direct summation; report the
-    # sections that still make sense instead of dying wholesale.
+    # sections that still make sense instead of dying wholesale. Both series
+    # sections rest on the one walk, so a refused walk fails them both.
     try:
         lam = lambda_report(sch)
-        doc["lambda"] = asdict(lam)
-    except ValueError as exc:
-        lam = None
-        doc["lambda"] = {"error": str(exc)}
-    try:
         ineq = inequality_check(sch, lam)
+        doc["lambda"] = asdict(lam)
         doc["inequalities"] = {"flags": ineq.flags, "values": ineq.values}
     except ValueError as exc:
-        doc["inequalities"] = {"error": str(exc)}
+        doc["lambda"] = doc["inequalities"] = {"error": str(exc)}
     _emit(doc, args.report)
     return EXIT_OK
 

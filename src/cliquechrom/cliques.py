@@ -255,38 +255,24 @@ def is_maximal_clique(g: Graph, k: Iterable[int]) -> bool:
     The empty set is never maximal on a nonempty graph.
     """
     kb = bits_of(k)
-    if kb == 0:
-        return g.n == 0
     if not is_clique(g, iter_bits(kb)):
         return False
     return _common_neighbors_bits(g, kb) == 0
 
 
-def extend_to_maximal(g: Graph, k: Iterable[int], forbidden: Iterable[int] = ()) -> frozenset[int]:
+def extend_to_maximal(g: Graph, k: Iterable[int]) -> frozenset[int]:
     """Grow the clique k to an inclusion-maximal clique.
 
     Greedy and deterministic: at each step the smallest-id common neighbor is
-    added, preferring vertices outside `forbidden`; forbidden vertices are
-    used only once no other extension exists.
+    added (from the empty set, vertex 1). If no vertex outside a set W is
+    adjacent to all of k, every vertex added lies in W.
     """
     kb = bits_of(k)
     if not is_clique(g, iter_bits(kb)):
         raise ValueError("k is not a clique")
-    fb = bits_of(forbidden)
-    if fb & kb:
-        raise ValueError("forbidden set intersects k")
-    if kb == 0:
-        # Seed with the smallest allowed vertex so the loop below has a base.
-        pool = (g.all_bits & ~fb) or g.all_bits
-        if pool == 0:
-            return frozenset()
-        low = pool & -pool
-        kb = low
     cn = _common_neighbors_bits(g, kb)
     while cn:
-        pool = cn & ~fb
-        low = (pool or cn)
-        low &= -low
+        low = cn & -cn
         kb |= low
         cn &= g.adj[low.bit_length() - 1]
     return frozenset(iter_bits(kb))
@@ -316,7 +302,7 @@ def find_clique_dominating_outside(
     found = _dominating_search(g.adj, [wb] * k_max, outside)[0] if outside else 0
     if found is None and restarts > 0:
         found = _dominating_restarts(g, wb, outside, restarts, seed)
-    return None if found is None else extend_to_maximal(g, iter_bits(found), forbidden=iter_bits(outside))
+    return None if found is None else extend_to_maximal(g, iter_bits(found))
 
 
 def _dominating_search(

@@ -23,9 +23,9 @@ from itertools import repeat
 from typing import Iterable, Optional, Sequence, TextIO, get_args, get_type_hints
 
 from .coloring import Coloring, require_budget
-from .graph import sample_gnp
+from .graph import _check_vertex_count, sample_gnp
 from .lowerbound import certify
-from .params import build_schedule, predicted_bounds
+from .params import _check_cell, build_schedule, predicted_bounds
 from . import upper
 
 __all__ = [
@@ -153,26 +153,34 @@ class SweepConfig:
             raise ValueError("n grid must be nonempty")
         if min(self.n_grid) < 2:
             raise ValueError(f"every n must be >= 2, got {min(self.n_grid)}")
+        _check_vertex_count(max(self.n_grid))
         if bool(self.p_grid) == bool(self.rho_grid):
             raise ValueError("exactly one of the p grid and the rho grid must be given")
+        for n, p in self._points():
+            _check_cell(n, p)
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if self.relax is not None and not 0.0 < self.relax <= 1.0:
+            raise ValueError(f"relax fraction must lie in (0, 1], got {self.relax!r}")
+        if self.certify_classes < 1:
+            raise ValueError("certify_classes must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         require_budget(self.repair_budget, "repair_budget")
         require_budget(self.certify_budget, "certify_budget")
-        bad = set(self.procedures) - {"A", "B", "certify"}
+        bad = [proc for proc in self.procedures if proc not in ("A", "B", "certify")]
         if bad:
-            raise ValueError(f"unknown procedures: {sorted(bad)}")
+            raise ValueError(f"unknown procedures: {bad}")
+
+    def _points(self) -> list[tuple[int, float]]:
+        """(n, p) in grid order, p = n^(-rho) for a rho grid."""
+        return [(n, float(raw) if self.p_grid else float(n) ** -float(raw))
+                for n in self.n_grid for raw in self.p_grid or self.rho_grid]
 
     def cells(self) -> list[tuple[int, float, str]]:
-        out = []
-        for n in self.n_grid:
-            for raw in self.p_grid or self.rho_grid:
-                p = float(raw) if self.p_grid else float(n) ** -float(raw)
-                for proc in self.procedures:
-                    out.append((n, p, proc))
-        return out
+        return [(n, p, proc) for n, p in self._points() for proc in self.procedures]
 
     @classmethod
     def from_json(cls, fh: TextIO) -> "SweepConfig":
@@ -181,31 +189,24 @@ class SweepConfig:
         doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
             raise ValueError(f"config must be a JSON object with version {SCHEMA_VERSION}")
-        grids = {"n": ("n_grid", _integer), "p": ("p_grid", float), "rho": ("rho_grid", float)}
-        scalars = {
-            f.name: f.default
-            for f in dataclasses.fields(cls)
-            if f.name not in {name for name, _ in grids.values()}
-        }
+        grids = {"n": ("n_grid", _integer), "p": ("p_grid", _real), "rho": ("rho_grid", _real)}
+        scalars = {f.name: f.default for f in dataclasses.fields(cls) if not f.name.endswith("_grid")}
         unknown = set(doc) - {"version"} - set(grids) - set(scalars)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in doc:
             raise ValueError("config needs an n grid")
         try:
-            kwargs = {
-                name: tuple(convert(v) for v in doc[key])
-                for key, (name, convert) in grids.items()
-                if key in doc
-            }
+            kwargs = {name: tuple(map(convert, _list(doc[key])))
+                      for key, (name, convert) in grids.items() if key in doc}
             for name, default in scalars.items():
                 if name in doc:
-                    # Fields defaulting to None (epsilon, relax) take the value as is.
-                    convert = _integer if type(default) is int else type(default)
-                    kwargs[name] = doc[name] if default is None else convert(doc[name])
+                    # Fields defaulting to None (epsilon, relax) take a number or null.
+                    convert = {int: _integer, tuple: _list}.get(type(default), _real)
+                    kwargs[name] = None if doc[name] is None and default is None else convert(doc[name])
+            return cls(**kwargs)  # n^(-rho) may overflow here
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed config value: {exc}") from exc
-        return cls(**kwargs)
 
 
 def _integer(value) -> int:
@@ -216,6 +217,19 @@ def _integer(value) -> int:
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+def _real(value) -> float:
+    """A config value of a float field: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _list(value) -> tuple:
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
 
 
 _MASK64 = (1 << 64) - 1

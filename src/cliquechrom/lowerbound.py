@@ -379,7 +379,7 @@ def certify(
             slots = [bits_of(witness.a_set)] * (sch.k - sch.m) + [bits_of(bs) for bs in witness.b_sets]
             hit, used = _dominating_search(g.adj, slots, outside, (budget - nodes) // 2)
             nodes += used
-            grown = hit and extend_to_maximal(g, iter_bits(hit), forbidden=iter_bits(outside))
+            grown = hit and extend_to_maximal(g, iter_bits(hit))
             if grown and len(grown) >= 2:
                 clique, method = grown, "sampled"
                 break

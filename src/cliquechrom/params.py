@@ -7,14 +7,14 @@ the fraction of spoiled clique candidates, the Janson exponent lower bounds,
 and the leading-order predictions for the clique chromatic number.
 
 The level series has one home, `ParamSchedule`: `rate` gives
-phi(r_i - 1) p for an index or an index array, `last_index` the last level
-with p r_i under a cutoff, and `levels` splits the indices into chunks of
-2^20. The Pi sums and the density-series minimum are both built from these,
-in one walk: it evaluates each chunk in cache-sized blocks of 2^13 levels,
-into a few buffers allocated once per walk, and collects the chunk's terms
-in one buffer. Each Pi sum still adds one pairwise reduction per chunk, and
-every element sees the same float operations in the same order, so the
-blocks change no bit of the result. The density terms stop once a lower
+phi(r_i - 1) p for an index or an index array, and `last_index` the last
+level with p r_i under a cutoff. The Pi sums and the density-series minimum
+are both built from these, in one walk, `_walk_series`: it splits the
+indices into chunks of 2^20, evaluates each chunk in cache-sized blocks of
+2^13 levels, into a few buffers allocated once per walk, and collects the
+chunk's terms in one buffer. Each Pi sum still adds one pairwise reduction
+per chunk, and every element sees the same float operations in the same
+order, so the blocks change no bit of the result. The density terms stop once a lower
 bound that rises with the level passes their running minimum (at level 2
 on every `build_schedule` cell tried from n = 10 to 10^9: the minimum sits
 at level 1), and the walk ends at the last Pi level instead of going on to
@@ -27,7 +27,7 @@ double for extra headroom, while the long i-indexed series are summed
 chunked in float64 (pairwise reduction keeps the error near 1e-15 relative,
 far inside every stated tolerance). Natural logarithms are used throughout.
 The series have ~log^4(n) log(1/p) terms, so evaluation is instantaneous at
-desk scale but `levels` refuses with an error once direct summation would
+desk scale but the walk refuses with an error once direct summation would
 stop being feasible (roughly ln(n) > 200 with small p). The walk also
 refuses p so close to 0 (around 1e-306 and below) that x_1 or the rate at
 the last level overflows float64.
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -120,8 +120,6 @@ def _phi(x, out=None, work=None):
     if x.min(initial=math.inf) >= 1e-4:
         return y
     small = np.abs(x, out=work) < 1e-4
-    if not small.any():
-        return y
     series = x * x * (0.5 - x / 6.0 + x * x / 12.0 - x * x * x / 20.0)
     if out is None:
         return np.where(small, series, y)
@@ -183,19 +181,6 @@ class ParamSchedule:
         if cutoff <= 0.0 or self.p > cutoff:
             return 0
         return math.floor((math.log(cutoff) - math.log(self.p)) / self.zeta)
-
-    def levels(self, last: int, reverse: bool = False) -> Iterator[tuple[int, int]]:
-        """The indices 2..last as half-open ranges [lo, hi) of at most 2^20,
-        in order or reversed; refuses a walk too long to sum directly."""
-        # The series has ~log^4(n) log(1/p) terms; around ln(n) > 200 with
-        # small p that stops being directly summable in reasonable time.
-        if last > _TERM_LIMIT:
-            raise ValueError(
-                f"level series has {last} terms; direct summation is infeasible "
-                "at this (n, p)"
-            )
-        starts = range(2, last + 1, _CHUNK)
-        return ((lo, min(lo + _CHUNK, last + 1)) for lo in (reversed(starts) if reverse else starts))
 
     def ell1(self, size: int) -> float:
         """The non-neighbor threshold ell_1(W) for a set W of `size` vertices;
@@ -264,9 +249,11 @@ def _dense(n: float, p: float) -> bool:
 
 
 def clamp_delta(raw: float) -> tuple[float, bool]:
-    """(delta, clamped): a delta outside (0, 1) is clamped to [0.01, 0.99]."""
+    """(delta, clamped): a delta outside (0, 1) is clamped to [0.01, 0.99]; NaN raises ValueError."""
     if 0.0 < raw < 1.0:
         return raw, False
+    if math.isnan(raw):
+        raise ValueError("delta is NaN: epsilon is not a number")
     return min(max(raw, 0.01), 0.99), True
 
 
@@ -336,8 +323,9 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
     level unless the minimum needs levels past it. `reverse` reverses both
     orders (a numerical self-check) and skips the minimum, which is nan when
     skipped, too long to walk or ell0 <= 0.
-    Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1), and
-    when x_1 or the rate at the series' last level overflows (p near 0).
+    Raises ValueError when the step e^{zeta (k-m)} overflows (p near 1), when
+    x_1 or the rate at the series' last level overflows (p near 0), and,
+    before any buffer is allocated, when the Pi levels pass _TERM_LIMIT.
     """
     ln_n = math.log(sch.n)
     km = sch.k - sch.m
@@ -362,12 +350,16 @@ def _walk_series(sch: ParamSchedule, reverse: bool = False) -> tuple[float, floa
         rate = sch.rate(np.ones(min(dens_last, 1)))  # level 1, if any
         best = float(np.min(np.ceil(ln_n / rate) * (rate - correction), initial=math.inf))
     top = max(lasts)
+    if top > _TERM_LIMIT:  # dens_last is already within it
+        raise ValueError(f"level series has {top} terms; direct summation is infeasible at this (n, p)")
     log_p = math.log(sch.p)
     ramp = np.arange(_BLOCK, dtype=np.float64)
     z, x, r, w = (np.empty(_BLOCK) for _ in range(4))
     terms = np.empty(min(max(top - 1, 0), _CHUNK))
     totals = [0.0, 0.0]
-    for lo, hi in sch.levels(max(top, dens_last), reverse):
+    starts = range(2, max(top, dens_last) + 1, _CHUNK)  # the chunks [lo, hi) of the walk
+    for lo in reversed(starts) if reverse else starts:
+        hi = min(lo + _CHUNK, starts.stop)
         for b in range(lo, hi, _BLOCK):
             end = max(top, dens_last)
             if b > end:
@@ -496,10 +488,6 @@ class InequalityReport:
     flags: dict[str, bool]
     values: dict[str, float]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(self.flags.values())
-
 
 def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> InequalityReport:
     """Numerically evaluate the schedule's inequality system at this (n, p).
@@ -531,10 +519,7 @@ def inequality_check(sch: ParamSchedule, lam: Optional[LambdaReport] = None) -> 
     values["partition_rhs"] = part_rhs
 
     if sch.ell0 > 0.0:
-        try:
-            dens_lhs = sch._series[2]
-        except ValueError:
-            dens_lhs = math.nan  # series too long for direct evaluation
+        dens_lhs = sch._series[2]
         dens_rhs = 1.0 + max(math.log(n * ln_n**2 * math.e / sch.ell0), 0.0)
         flags["density_series"] = dens_lhs >= dens_rhs
         values["density_series_lhs"] = dens_lhs

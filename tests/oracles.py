@@ -2,8 +2,10 @@
 
 Everything here enumerates subsets or assignments outright, with no shared
 code paths into the library; the library must agree with these on small
-instances. The exception is the last section: two entry points over library
-internals that only the tests call.
+instances. The exceptions are the earlier versions of library functions,
+kept unchanged as references (they use the library's small helpers), and
+the last section: two entry points over library internals that only the
+tests call.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from cliquechrom.cliques import BudgetExceeded
+from cliquechrom.cliques import BudgetExceeded, _common_neighbors_bits, is_clique
 from cliquechrom.coloring import Coloring, _solve_hypergraph_coloring
-from cliquechrom.graph import Graph
+from cliquechrom.graph import Graph, bits_of, iter_bits
 from cliquechrom.lowerbound import _fewest_non_neighbors, _useful
 
 
@@ -386,6 +388,40 @@ def reference_solve_hypergraph_coloring(
         if got is not None:
             return q, Coloring(tuple(got[1:]))
         q += 1
+
+
+# The clique extension as it was while it took a `forbidden` set, kept
+# unchanged. Every search that feeds the library's extension returns a
+# clique that no vertex outside its class W is adjacent to all of, so with
+# forbidden = V \ W the library's extension must grow it the same way.
+def reference_extend_to_maximal(g: Graph, k: Iterable[int], forbidden: Iterable[int] = ()) -> frozenset[int]:
+    """Grow the clique k to an inclusion-maximal clique.
+
+    Greedy and deterministic: at each step the smallest-id common neighbor is
+    added, preferring vertices outside `forbidden`; forbidden vertices are
+    used only once no other extension exists.
+    """
+    kb = bits_of(k)
+    if not is_clique(g, iter_bits(kb)):
+        raise ValueError("k is not a clique")
+    fb = bits_of(forbidden)
+    if fb & kb:
+        raise ValueError("forbidden set intersects k")
+    if kb == 0:
+        # Seed with the smallest allowed vertex so the loop below has a base.
+        pool = (g.all_bits & ~fb) or g.all_bits
+        if pool == 0:
+            return frozenset()
+        low = pool & -pool
+        kb = low
+    cn = _common_neighbors_bits(g, kb)
+    while cn:
+        pool = cn & ~fb
+        low = (pool or cn)
+        low &= -low
+        kb |= low
+        cn &= g.adj[low.bit_length() - 1]
+    return frozenset(iter_bits(kb))
 
 
 # -- Entry points over library internals -------------------------------------------

@@ -163,6 +163,18 @@ def odd_even(directory, n):
 
 
 @pytest.mark.parametrize("args", [
+    ["params", "--n", 1e6, "--rho", 0.3],
+    ["certify", "--n", 40, "--p", 0.3, "--seed", 1, "--coloring", None],
+    ["color", "--n", 100, "--p", 0.3, "--seed", 1, "--variant", "B"],
+], ids=["params", "certify", "color"])
+def test_nan_epsilon_is_invalid_input(args, tmp_path, capsys):
+    # a NaN epsilon makes delta NaN, which is refused before class_count floors it
+    args = [odd_even(tmp_path, 40) if a is None else a for a in args]
+    assert run(args + ["--epsilon", "nan"]) == 1
+    assert capsys.readouterr().err == "error: delta is NaN: epsilon is not a number\n"
+
+
+@pytest.mark.parametrize("args", [
     ["color", "--n", 100, "--p", 0.2, "--seed", 12, "--variant", "B", "--repair-budget", -1],
     ["chromatic", "--n", 12, "--p", 0.5, "--seed", 1, "--budget", -5],
     ["certify", "--n", 40, "--p", 0.3, "--seed", 1, "--coloring", None, "--budget", -1],
@@ -202,6 +214,14 @@ class TestParams:
         doc = strict_json(capsys.readouterr().out)
         assert "overflows float64" in doc["lambda"]["error"]
         assert "overflows float64" in doc["inequalities"]["error"]
+
+    def test_refused_series_fills_both_sections(self, capsys):
+        # the series at n = 1e300 has far more than 5e8 levels
+        assert run(["params", "--n", 1e300, "--rho", 0.3]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["lambda"] == doc["inequalities"]
+        assert "direct summation is infeasible" in doc["lambda"]["error"]
+        assert doc["schedule"]["n"] == 1e300 and doc["predicted"]
 
     def test_rho_flag(self, tmp_path, capsys):
         assert run(["params", "--n", 1000, "--rho", 0.35]) == 0
@@ -470,6 +490,14 @@ class TestExitCodes:
         '{"version": 1, "n": [12], "p": [0.5], "trials": 2.7}',
         '{"version": 1, "n": [12], "p": [0.5], "workers": "1"}',
         '{"version": 1, "n": [12], "p": [0.5], "trials": true}',
+        # values no trial could run, or that would run as another value: refused before any trial
+        '{"version": 1, "n": [12], "p": [0.5], "procedures": ["B"], "relax": 2}',
+        '{"version": 1, "n": [12], "p": [0.5], "procedures": ["certify"], "relax": true}',
+        '{"version": 1, "n": [12], "p": [0.5], "procedures": ["B"], "epsilon": NaN}',
+        '{"version": 1, "n": [12], "p": [0.5], "procedures": ["certify"], "certify_classes": 0}',
+        '{"version": 1, "n": [2000000], "p": [0.5]}',
+        '{"version": 1, "n": [12], "p": [0.5], "procedures": "AB"}',
+        '{"version": 1, "n": [12], "p": [0.3, 1.5]}',
     ])
     def test_sweep_malformed_config(self, text, tmp_path):
         cfg = tmp_path / "cfg.json"

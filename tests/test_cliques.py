@@ -11,6 +11,7 @@ from cliquechrom.cliques import (
     BudgetExceeded,
     NodeCount,
     _Outside,
+    _dominating_restarts,
     _dominating_search,
     _outside_pivot,
     enumerate_maximal_cliques,
@@ -26,6 +27,7 @@ from cliquechrom.upper import _color
 from oracles import (
     _dominating_dfs,
     brute_maximal_cliques,
+    reference_extend_to_maximal,
     reference_maximal_cliques_within,
     reference_outside_pivot,
 )
@@ -238,11 +240,6 @@ class TestExtension:
         with pytest.raises(ValueError):
             extend_to_maximal(g, {1, 3})
 
-    def test_prefers_unforbidden_but_stays_maximal(self):
-        # 3 is taken only after the unforbidden pool dries up
-        got = extend_to_maximal(complete(4), {1, 2}, forbidden={3})
-        assert got == frozenset({1, 2, 3, 4})
-
     def test_output_always_maximal(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -250,6 +247,36 @@ class TestExtension:
             v = rng.randint(1, 10)
             got = extend_to_maximal(g, {v})
             assert is_maximal_clique(g, got)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_empty_set(self, n):
+        # From nothing the extension starts at vertex 1; the empty set is
+        # maximal only on the graph with no vertex.
+        g = complete(n)
+        assert extend_to_maximal(g, ()) == reference_extend_to_maximal(g, ()) == frozenset(range(1, n + 1))
+        assert is_maximal_clique(g, ()) is (n == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        w_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    def test_hits_grow_as_if_outside_were_forbidden(self, n, p, seed, w_seed, k):
+        # The searches return cliques that no outside vertex is adjacent to
+        # all of, so a preference for vertices of W would never bind.
+        g = sample_gnp(n, p, seed)
+        pick = random.Random(w_seed)
+        w = sum(1 << v for v in range(1, n + 1) if pick.random() < 0.5) or 1 << pick.randint(1, n)
+        outside = g.all_bits & ~w
+        hits = [_dominating_search(g.adj, [w] * k, outside)[0], _dominating_restarts(g, w, outside, 20, w_seed)]
+        for hit in hits:
+            if hit is not None:
+                got = extend_to_maximal(g, iter_bits(hit))
+                assert got == reference_extend_to_maximal(g, iter_bits(hit), iter_bits(outside))
+                assert g.bits(got) & outside == 0
 
 
 class TestDominatingSearch:

@@ -242,6 +242,46 @@ class TestConfigFile:
         assert cfg == SweepConfig(n_grid=(12,), p_grid=(0.5,), trials=2, master_seed=-3)
         assert type(cfg.n_grid[0]) is int and type(cfg.trials) is int
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("relax", 2, r"relax fraction must lie in \(0, 1\]"),
+        ("relax", 0, r"relax fraction must lie in \(0, 1\]"),
+        ("relax", "x", "expected a number"),
+        ("relax", True, "expected a number"),
+        ("epsilon", -1, "epsilon must be positive"),
+        ("epsilon", 0, "epsilon must be positive"),
+        ("epsilon", float("nan"), "epsilon must be positive"),
+        ("epsilon", float("inf"), "epsilon must be positive"),
+        ("epsilon", True, "expected a number"),
+        ("certify_classes", 0, "certify_classes must be >= 1"),
+        ("procedures", "AB", "expected a list"),
+        ("procedures", [["A"]], "unknown procedures"),
+        ("n", [12, 2**20 + 1], "exceeds the largest supported vertex count"),
+        ("p", [0.3, 1.5], r"p must lie in \(0, 1\)"),
+        ("p", [float("nan")], r"p must lie in \(0, 1\)"),
+        ("p", ["0.3"], "expected a number"),
+        ("p", {"0.3": 1}, "expected a list"),
+    ])
+    def test_rejects_values_no_trial_could_run(self, key, value, match, monkeypatch):
+        # No trial could run these, or they would run as another value, so
+        # the config is refused before any trial runs.
+        monkeypatch.setattr(harness, "_run_trial", None)
+        doc = {"version": 1, "n": [12], "p": [0.5], "procedures": ["A", "B", "certify"], key: value}
+        with pytest.raises(ValueError, match=match):
+            run_sweep(SweepConfig.from_json(io.StringIO(json.dumps(doc))))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, -400.0])
+    def test_rejects_a_rho_grid_whose_p_leaves_the_unit_interval(self, rho):
+        # 12^400 overflows a float, the others give p >= 1
+        doc = {"version": 1, "n": [12], "rho": [0.5, rho]}
+        with pytest.raises(ValueError):
+            SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+
+    def test_accepts_the_bounds_of_each_range(self):
+        doc = {"version": 1, "n": [2, 2**20], "rho": [0.5], "relax": 1, "epsilon": 1e-9, "certify_classes": 1}
+        cfg = SweepConfig.from_json(io.StringIO(json.dumps(doc)))
+        assert (cfg.relax, cfg.epsilon, cfg.certify_classes) == (1.0, 1e-9, 1)
+        assert [p for _, p, _ in cfg.cells()] == [2.0**-0.5, float(2**20) ** -0.5]
+
     def test_rejects_unknown_keys(self):
         doc = {"version": 1, "n": [100], "p": [0.2], "bogus": 1}
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from cliquechrom.params import (
     SIGMA,
     ParamSchedule,
     build_schedule,
+    clamp_delta,
     class_count,
     inequality_check,
     janson_exponent,
@@ -112,6 +113,15 @@ class TestBuildSchedule:
         # delta log(n) / p overflows although 1/p does not
         with pytest.raises(ValueError, match="overflows"):
             class_count(1e6, 1e-308, 0.5)
+
+    def test_nan_delta_is_refused(self):
+        # a sparse cell takes delta = min(epsilon, sigma/2), NaN for a NaN epsilon
+        assert clamp_delta(1.5) == (0.99, True) and clamp_delta(-1.0) == (0.01, True)
+        with pytest.raises(ValueError, match="delta is NaN: epsilon is not a number"):
+            clamp_delta(math.nan)
+        with pytest.raises(ValueError, match="delta is NaN"):
+            build_schedule(1e6, 1e6**-0.3, epsilon=math.nan)
+        assert build_schedule(1e4, 0.95, epsilon=math.nan).m >= 2  # the dense case reads no epsilon
 
     @pytest.mark.parametrize("n", [math.inf, math.nan])
     def test_rejects_non_finite_n(self, n):
@@ -306,6 +316,18 @@ class TestBlockedWalk:
         sch = build_schedule(n, math.exp(math.log(cut) - (span + offset + 0.5) / ln_n**4))
         assert sch.last_index(cut) == span + offset
         self.assert_same(sch, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_long_walk_is_refused_before_any_buffer(self, monkeypatch, reverse):
+        sch = build_schedule(1e100, 1e100**-0.3)
+        want = walk_outcome(reference_walk_series, sch, reverse)
+        assert "direct summation is infeasible" in want
+
+        def empty(*args, **kwargs):
+            raise AssertionError("the walk allocated a buffer")
+
+        monkeypatch.setattr(params.np, "empty", empty)
+        assert walk_outcome(params._walk_series, sch, reverse) == want
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_small_x_prefix_over_several_blocks(self, reverse):
